@@ -19,7 +19,7 @@ import numpy as np
 
 from .coupling import CouplingModel
 from .geometry import ArrayLayout, Kind
-from .propagator import Hamiltonian, StateVector, hamiltonian_at
+from .propagator import Hamiltonian, StateVector, coupling_chain, tridiagonal
 
 CROSSTALK_FLOOR_DB = -120.0
 DEGENERACY_GAP = 1e-12
@@ -49,6 +49,33 @@ def eigensystem(H, z_um: float = None) -> EigenSystem:
     return EigenSystem(w, V, z)
 
 
+def _dark_vectors(k: np.ndarray) -> np.ndarray:
+    """Closed-form dark states (s, n) from nearest-neighbor couplings (s, n-1).
+
+    Raises ValueError unless n is 3 or 5, when both couplings vanish at a
+    sample, or when a 5-guide sample lacks the mirror pattern
+    k34 = k23, k45 = k12 (to 1e-9 relative).
+    """
+    n = k.shape[-1] + 1
+    if n not in (3, 5):
+        raise ValueError(f"dark state defined for 3 or 5 guides, got {n}")
+    k12, k23 = k[:, 0], k[:, 1]
+    if np.any((k12 == 0.0) & (k23 == 0.0)):
+        raise ValueError("dark state undefined: all couplings are zero")
+    zero = np.zeros_like(k12)
+    if n == 3:
+        v = np.stack([k23, zero, -k12], axis=1)
+        ref = 0
+    else:
+        # (k34, k45) against (k23, k12)
+        if not np.all(np.isclose(k[:, 2:], k[:, 1::-1], rtol=1e-9, atol=1e-300)):
+            raise ValueError("5-guide matrix lacks the mirror coupling pattern")
+        v = np.stack([-k23, zero, k12, zero, -k23], axis=1)
+        ref = 2
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.where(v[:, ref:ref + 1] < 0, -v, v)
+
+
 def dark_state(H) -> np.ndarray:
     """Normalized zero-eigenvalue supermode of a 3- or 5-guide matrix.
 
@@ -58,35 +85,22 @@ def dark_state(H) -> np.ndarray:
     Raises ValueError when both couplings vanish.
     """
     M = _as_matrix(H)
-    n = M.shape[0]
-    k12 = M[0, 1]
-    k23 = M[1, 2]
-    if k12 == 0.0 and k23 == 0.0:
-        raise ValueError("dark state undefined: all couplings are zero")
-    if n == 3:
-        v = np.array([k23, 0.0, -k12])
-        ref = 0
-    elif n == 5:
-        if not (math.isclose(M[2, 3], k23, rel_tol=1e-9, abs_tol=1e-300)
-                and math.isclose(M[3, 4], k12, rel_tol=1e-9, abs_tol=1e-300)):
-            raise ValueError("5-guide matrix lacks the mirror coupling pattern")
-        v = np.array([-k23, 0.0, k12, 0.0, -k23])
-        ref = 2
-    else:
-        raise ValueError(f"dark state defined for 3 or 5 guides, got {n}")
-    v /= np.linalg.norm(v)
-    if v[ref] < 0:
-        v = -v
-    return v
+    return _dark_vectors(np.diagonal(M, offset=1)[None, :])[0]
 
 
 @dataclass(frozen=True, eq=False)
 class AdiabaticityProfile:
-    """Rotation-over-gap metric A(z); smaller is more adiabatic."""
+    """Rotation-over-gap metric A(z); smaller is more adiabatic.
+
+    ``eigenvalues`` (ascending) and ``dark_states`` hold the supermode data
+    of each sample the metric was computed from.
+    """
 
     z_um: np.ndarray
     values: np.ndarray
     flagged: tuple           # sample indices where the gap fell below 1e-12
+    eigenvalues: np.ndarray = None     # (n_samples, n)
+    dark_states: np.ndarray = None     # (n_samples, n)
 
     @property
     def max_value(self) -> float:
@@ -100,34 +114,29 @@ def adiabaticity_margin(layout: ArrayLayout, model: CouplingModel, lam: float,
     The dark state is evaluated on the sample grid (its closed form is
     sign-continuous in z) and differentiated by centered finite differences;
     end points use one-sided differences. Samples whose gap to the dark
-    eigenvalue falls below 1e-12 are flagged and carry A = inf.
+    eigenvalue falls below 1e-12 are flagged and carry A = inf. All samples
+    are decomposed in one batched eigh call.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     zs = np.linspace(0.0, layout.z_end_um, n_samples)
     dz_mm = (zs[1] - zs[0]) / 1000.0
-    hams = [hamiltonian_at(layout, model, z, lam) for z in zs]
-    darks = np.array([dark_state(h) for h in hams])
+    couplings, diagonal = coupling_chain(layout, model, lam)
+    k = couplings(zs[:, None])
+    darks = _dark_vectors(k)
     dpsi = np.gradient(darks, dz_mm, axis=0)
+    w, V = np.linalg.eigh(tridiagonal(k, diagonal))
 
-    values = np.zeros(n_samples)
-    flagged = []
-    for i, h in enumerate(hams):
-        w, V = np.linalg.eigh(h.matrix)
-        overlaps = V.T @ darks[i]
-        dark_idx = int(np.argmax(np.abs(overlaps)))
-        amax = 0.0
-        for k in range(h.n):
-            if k == dark_idx:
-                continue
-            gap = abs(w[k] - w[dark_idx])
-            if gap < DEGENERACY_GAP:
-                flagged.append(i)
-                amax = np.inf
-                break
-            amax = max(amax, abs(float(V[:, k] @ dpsi[i])) / gap)
-        values[i] = amax
-    return AdiabaticityProfile(zs, values, tuple(flagged))
+    dark_idx = np.argmax(np.abs(np.einsum("sij,si->sj", V, darks)), axis=1)
+    others = np.arange(layout.n_guides) != dark_idx[:, None]
+    gaps = np.abs(w - np.take_along_axis(w, dark_idx[:, None], axis=1))
+    degenerate = np.any(others & (gaps < DEGENERACY_GAP), axis=1)
+    rates = np.abs(np.einsum("sik,si->sk", V, dpsi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(others, rates / gaps, 0.0)
+    values = np.where(degenerate, np.inf, ratios.max(axis=1))
+    flagged = tuple(int(i) for i in np.flatnonzero(degenerate))
+    return AdiabaticityProfile(zs, values, flagged, w, darks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .analysis import adiabaticity_margin, dark_state, eigensystem, split_report
+from .analysis import adiabaticity_margin, split_report
 from .coupling import calibrate_decay, calibrate_strength, calibrated_model
 from .design import (ObjectiveConfig, ObjectiveWeights, ParameterBounds,
                      grid_search, refine_local)
 from .errors import CalibrationError, ConfigError, IntegrationError, SapsimError
 from .farfield import classify_fringe, facet_emitters, farfield_pattern
-from .propagator import hamiltonian_at, nominal_input, propagate
+from .propagator import nominal_input, propagate
 from .spectral import sweep_wavelength
 
 
@@ -150,11 +150,9 @@ def cmd_darkstate(cfg, out: Path) -> None:
     n = layout.n_guides
     header = ["z_um"] + [f"ev_{i}" for i in range(1, n + 1)] \
         + [f"dark_{i}" for i in range(1, n + 1)] + ["adiabaticity"]
-    rows = []
-    for z, a_val in zip(profile.z_um, profile.values):
-        H = hamiltonian_at(layout, model, z, lam)
-        es = eigensystem(H)
-        rows.append([z] + list(es.eigenvalues) + list(dark_state(H)) + [a_val])
+    rows = [[z, *w, *dark, a_val] for z, w, dark, a_val in
+            zip(profile.z_um, profile.eigenvalues, profile.dark_states,
+                profile.values)]
     _write_csv(out / "darkstate.csv", header, rows)
 
 

@@ -10,10 +10,9 @@ ranked table doubles as a Pareto inspection dump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analysis import adiabaticity_margin
 from .coupling import calibrated_model
@@ -23,6 +22,10 @@ from .propagator import PropagationOptions
 from .spectral import sweep_wavelength
 
 _RANK_SCALE = {"crosstalk_db_per_10": 10.0, "length_cm": 1e4}
+# Scores this close (relative) are one score when ranking. Designs with the
+# same coupling profile (separation and angle varied together at fixed
+# length and facet ratio) differ only by rounding, about 1e-15.
+SCORE_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,18 @@ def _axis(bounds: tuple, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
+def _merge_ties(candidates) -> list:
+    """Candidates whose scores chain within SCORE_TIE_RTOL of each other
+    take the lowest score of their chain, so they tie exactly."""
+    merged, first, prev = [], math.nan, math.nan
+    for cand in sorted(candidates, key=lambda c: c.score):
+        if not math.isclose(cand.score, prev, rel_tol=SCORE_TIE_RTOL):
+            first = cand.score
+        prev = cand.score
+        merged.append(replace(cand, score=first))
+    return merged
+
+
 def _rank_key(cand: DesignCandidate):
     length = cand.objectives.device_length_um if cand.valid else math.inf
     return (cand.score, length) + cand.params.as_tuple()
@@ -159,7 +174,8 @@ def _rank_key(cand: DesignCandidate):
 def grid_search(bounds: ParameterBounds, steps, config: ObjectiveConfig,
                 budget: int = 2000) -> list:
     """Exhaustive evaluation over the Cartesian grid, ranked by score with
-    ties broken by shorter device, then lexicographic parameters.
+    ties broken by shorter device, then lexicographic parameters. Scores
+    within SCORE_TIE_RTOL of each other are ties and are reported as equal.
 
     ``steps`` is a 4-tuple of per-axis counts (alpha, separation,
     half_length, target_ratio).
@@ -182,8 +198,7 @@ def grid_search(bounds: ParameterBounds, steps, config: ObjectiveConfig,
                     candidates.append(evaluate_candidate(
                         CandidateParams(float(a), float(s), float(L), float(r)),
                         config))
-    candidates.sort(key=_rank_key)
-    return candidates
+    return sorted(_merge_ties(candidates), key=_rank_key)
 
 
 def refine_local(start: DesignCandidate, config: ObjectiveConfig,
@@ -196,6 +211,8 @@ def refine_local(start: DesignCandidate, config: ObjectiveConfig,
     """
     if max_iters <= 0:
         return start
+    from scipy.optimize import minimize
+
     p0 = np.array(start.params.as_tuple())
     scale = np.where(np.abs(p0) > 0, np.abs(p0), 1.0)
 

@@ -8,16 +8,17 @@ internally while the public surface stays in um.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coupling import CouplingModel
 from .errors import IntegrationError
 from .geometry import ArrayLayout
 
 UM_PER_MM = 1000.0
+# Oracle slices decomposed per batched eigh call; bounds its memory.
+_ORACLE_BATCH = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,73 +107,115 @@ def nominal_input(layout: ArrayLayout, lam: float) -> StateVector:
     return unit_state(layout.n_guides, layout.input_label, lam)
 
 
+def coupling_chain(layout: ArrayLayout, model: CouplingModel, lam: float):
+    """The entries of H at wavelength lam (nm): ``(couplings, diagonal)``.
+
+    ``couplings(z_um)`` returns the n-1 nearest-neighbor rates (1/mm)
+
+        k_i(z) = kappa_ref * exp(-(|dx0_i + dslope_i * z| - d_ref) / delta(lam))
+
+    for a scalar z or an array of shape (..., 1); the result has shape
+    (n-1,) or (..., n-1). ``diagonal`` (n,) holds the detuning on the
+    inclined guides and zero elsewhere.
+    """
+    dx0 = np.diff([p.x0 for p in layout.paths])
+    dslope = np.diff([p.slope for p in layout.paths])
+    delta_lam = model.decay_length(lam)
+    kref, dref = model.kappa_ref, model.d_ref
+    diagonal = np.zeros(layout.n_guides)
+    diagonal[[label - 1 for label in layout.inclined_labels]] = model.detuning
+
+    def couplings(z_um):
+        return kref * np.exp((dref - np.abs(dx0 + dslope * z_um)) / delta_lam)
+
+    return couplings, diagonal
+
+
+def tridiagonal(k: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrices (..., n, n) from couplings (..., n-1)."""
+    n = diagonal.size
+    H = np.zeros(k.shape[:-1] + (n, n))
+    i = np.arange(n - 1)
+    H[..., i, i + 1] = k
+    H[..., i + 1, i] = k
+    H[..., np.arange(n), np.arange(n)] = diagonal
+    return H
+
+
 def hamiltonian_at(layout: ArrayLayout, model: CouplingModel, z: float,
                    lam: float) -> Hamiltonian:
     """Coupled-mode matrix at position z (um) and wavelength lam (nm)."""
-    n = layout.n_guides
-    H = np.zeros((n, n))
-    for i in range(1, n):
-        k = model.kappa(layout.separation(i, i + 1, z), lam)
-        H[i - 1, i] = H[i, i - 1] = k
-    for label in layout.inclined_labels:
-        H[label - 1, label - 1] = model.detuning
-    return Hamiltonian(H, z)
+    layout._check_z(z)
+    couplings, diagonal = coupling_chain(layout, model, lam)
+    return Hamiltonian(tridiagonal(couplings(z), diagonal), z)
 
 
-def _h_builder(layout: ArrayLayout, model: CouplingModel, lam: float):
-    """Fast H(z_mm) closure used inside the integration loops."""
-    n = layout.n_guides
-    dx0 = np.array([layout.paths[i + 1].x0 - layout.paths[i].x0
-                    for i in range(n - 1)])
-    dslope = np.array([layout.paths[i + 1].slope - layout.paths[i].slope
-                       for i in range(n - 1)])
-    delta_lam = model.decay_length(lam)
-    kref, dref = model.kappa_ref, model.d_ref
-    idx = np.arange(n - 1)
-    diag = np.zeros(n)
-    for label in layout.inclined_labels:
-        diag[label - 1] = model.detuning
+def _rhs(layout: ArrayLayout, model: CouplingModel, lam: float):
+    """da/dz = i H(z) a with z in mm, applied without forming H.
 
-    def build(z_mm: float) -> np.ndarray:
-        seps = np.abs(dx0 + dslope * (z_mm * UM_PER_MM))
-        ks = kref * np.exp(-(seps - dref) / delta_lam)
-        H = np.diag(diag).astype(float)
-        H[idx, idx + 1] = ks
-        H[idx + 1, idx] = ks
-        return H
+    Raises IntegrationError when H is not finite at either end: couplings
+    are monotone in z (guides never cross), so finite ends bound every
+    interior value. One check per propagation keeps the integrator from
+    searching forever for a step on NaN input.
+    """
+    couplings, diagonal = coupling_chain(layout, model, lam)
+    ends = couplings(np.array([[0.0], [layout.z_end_um]]))
+    if not (np.all(np.isfinite(ends)) and np.all(np.isfinite(diagonal))):
+        raise IntegrationError(f"non-finite Hamiltonian at lam = {lam} nm")
 
-    return build
+    def rhs(z_mm, a):
+        k = couplings(z_mm * UM_PER_MM)
+        out = diagonal * a
+        out[:-1] += k * a[1:]
+        out[1:] += k * a[:-1]
+        return 1j * out
+
+    return rhs
+
+
+def endpoint_options(opts: PropagationOptions = None) -> PropagationOptions:
+    """``opts`` (or the defaults) asking for the two end samples only.
+
+    For callers that read ``.final`` alone: no dense output is built, and
+    the final state is bit-identical to that of a densely sampled run.
+    """
+    return replace(opts or DEFAULT_OPTIONS, n_samples=2)
 
 
 def propagate(layout: ArrayLayout, model: CouplingModel, lam: float,
               state: StateVector, opts: PropagationOptions = None) -> Trajectory:
     """Integrate -i da/dz = H(z) a from z = 0 to the layout end.
 
-    Uses an adaptive embedded Runge-Kutta pair (DOP853 by default) with
-    dense output; the returned trajectory holds ``opts.n_samples`` equally
-    spaced samples, the first at z = 0 and the last at z_end.
+    Uses an adaptive embedded Runge-Kutta pair (DOP853 by default); the
+    returned trajectory holds ``opts.n_samples`` equally spaced samples, the
+    first at z = 0 and the last at z_end. Dense output is built only when
+    interior samples are asked for (``n_samples > 2``); it does not change
+    the integrator's steps, so the final state is the same either way, but
+    its extra stages count in ``n_rhs_evals``. ``max_norm_drift`` is taken
+    over the integrator's step points and the samples.
     """
+    from scipy.integrate import solve_ivp
+
     opts = opts or DEFAULT_OPTIONS
-    build = _h_builder(layout, model, lam)
-    z_end_mm = layout.z_end_um / UM_PER_MM
+    rhs = _rhs(layout, model, lam)
     a0 = np.asarray(state.amplitudes, dtype=complex)
-
-    def rhs(z_mm, a):
-        return 1j * (build(z_mm) @ a)
-
+    if not np.all(np.isfinite(a0)):
+        raise IntegrationError(f"non-finite input state at lam = {lam} nm")
+    z_end_mm = layout.z_end_um / UM_PER_MM
+    dense = opts.n_samples > 2
     sol = solve_ivp(rhs, (0.0, z_end_mm), a0, method=opts.method,
-                    rtol=opts.rtol, atol=opts.atol, dense_output=True)
+                    rtol=opts.rtol, atol=opts.atol, dense_output=dense)
     if not sol.success:
         raise IntegrationError(
             f"propagation failed at lam = {lam} nm: {sol.message}"
         )
 
     zs_mm = np.linspace(0.0, z_end_mm, opts.n_samples)
-    ys = sol.sol(zs_mm)
+    ys = sol.sol(zs_mm) if dense else np.empty((a0.size, 2), dtype=complex)
     ys[:, 0] = a0                 # dense output is exact at the knots anyway
     ys[:, -1] = sol.y[:, -1]
     norm0 = np.linalg.norm(a0)
-    norms = np.linalg.norm(ys, axis=0)
+    norms = np.linalg.norm(np.hstack([ys, sol.y]), axis=0)
     samples = tuple(
         StateVector(ys[:, i].copy(), zs_mm[i] * UM_PER_MM, lam)
         for i in range(opts.n_samples)
@@ -193,31 +236,33 @@ def propagate_oracle(layout: ArrayLayout, model: CouplingModel, lam: float,
     per slice through the exact eigendecomposition of the small real
     symmetric matrix. Exactly norm-preserving; second-order accurate in the
     slice width. Independent of the adaptive integrator by construction.
+    Slices are decomposed in batches of at most _ORACLE_BATCH.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be at least 1")
-    build = _h_builder(layout, model, lam)
+    couplings, diagonal = coupling_chain(layout, model, lam)
     z_end_mm = layout.z_end_um / UM_PER_MM
     dz = z_end_mm / n_slices
     a = np.asarray(state.amplitudes, dtype=complex).copy()
-    for i in range(n_slices):
-        H = build((i + 0.5) * dz)
-        w, V = np.linalg.eigh(H)
-        a = (V * np.exp(1j * w * dz)) @ (V.conj().T @ a)
+    for first in range(0, n_slices, _ORACLE_BATCH):
+        i = np.arange(first, min(first + _ORACLE_BATCH, n_slices))
+        z_um = ((i + 0.5) * dz * UM_PER_MM)[:, None]
+        w, V = np.linalg.eigh(tridiagonal(couplings(z_um), diagonal))
+        steps = (V * np.exp(1j * w * dz)[:, None, :]) @ V.transpose(0, 2, 1)
+        for step in steps:
+            a = step @ a
     return StateVector(a, layout.z_end_um, lam)
 
 
 def backpropagate_check(trajectory: Trajectory) -> float:
     """Integrate the final state backward and return the Euclidean distance
     to the original input; small residuals certify the forward solution."""
-    layout, model = trajectory.layout, trajectory.model
+    from scipy.integrate import solve_ivp
+
+    layout, lam = trajectory.layout, trajectory.wavelength_nm
     opts = trajectory.options
-    build = _h_builder(layout, model, trajectory.wavelength_nm)
+    rhs = _rhs(layout, trajectory.model, lam)
     z_end_mm = layout.z_end_um / UM_PER_MM
-
-    def rhs(z_mm, a):
-        return 1j * (build(z_mm) @ a)
-
     sol = solve_ivp(rhs, (z_end_mm, 0.0), trajectory.final.amplitudes,
                     method=opts.method, rtol=opts.rtol, atol=opts.atol)
     if not sol.success:

@@ -15,7 +15,8 @@ import numpy as np
 from .coupling import CouplingModel
 from .errors import GeometryError
 from .geometry import ArrayLayout, Kind, build_layout
-from .propagator import PropagationOptions, StateVector, nominal_input, propagate
+from .propagator import (PropagationOptions, StateVector, endpoint_options,
+                         nominal_input, propagate)
 from .analysis import SplitReport, split_report
 
 # Ideal output phase by device kind; deviations quantify phase flatness.
@@ -75,6 +76,7 @@ def sweep_wavelength(layout: ArrayLayout, model: CouplingModel, lam_min: float,
                      opts: PropagationOptions = None) -> SpectralCurve:
     """Propagate the input at each grid wavelength and report the splits."""
     grid = wavelength_grid(lam_min, lam_max, n_points)
+    opts = endpoint_options(opts)
     reports = []
     for lam in grid:
         state = input_state if input_state is not None \
@@ -106,6 +108,7 @@ def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
     if parameter in ("alpha", "separation", "cut_fraction") and layout.spec is None:
         raise ValueError("layout carries no build parameters to rebuild from")
 
+    opts = endpoint_options(opts)
     entries = []
     for value in values:
         lay, mod = layout, model

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sapsim import (Kind, StateVector, adiabaticity_margin, build_folded5,
-                    build_layout, calibrated_model, dark_state, eigensystem,
-                    hamiltonian_at, loss_corrected_transfer, propagate,
-                    split_report, unit_state)
+from sapsim import (ArrayLayout, CouplingModel, GeometryError, GeometrySpec,
+                    Kind, StateVector, WaveguidePath, adiabaticity_margin,
+                    build_folded5, build_layout, calibrated_model, dark_state,
+                    eigensystem, hamiltonian_at, loss_corrected_transfer,
+                    propagate, split_report, unit_state)
+from sapsim.analysis import DEGENERACY_GAP
 
 from conftest import (HALF_LENGTH, KAPPA_REF, LAM0, SEPARATION, TARGET_RATIO,
                       WIDTH)
@@ -155,6 +157,89 @@ class TestAdiabaticity:
     def test_sample_count_validation(self, folded5_ref, model_ref):
         with pytest.raises(ValueError):
             adiabaticity_margin(folded5_ref, model_ref, LAM0, 1)
+
+
+def per_sample_margin(layout, model, lam, n_samples):
+    """adiabaticity_margin evaluated one sample at a time from the public
+    hamiltonian_at / eigensystem / dark_state: the reference for the
+    batched implementation."""
+    zs = np.linspace(0.0, layout.z_end_um, n_samples)
+    hams = [hamiltonian_at(layout, model, z, lam) for z in zs]
+    darks = np.array([dark_state(h) for h in hams])
+    dpsi = np.gradient(darks, (zs[1] - zs[0]) / 1000.0, axis=0)
+    values, flagged, eigenvalues = np.zeros(n_samples), [], []
+    for i, h in enumerate(hams):
+        es = eigensystem(h)
+        w, V = es.eigenvalues, es.eigenvectors
+        eigenvalues.append(w)
+        dark = int(np.argmax(np.abs(V.T @ darks[i])))
+        gaps = [abs(w[k] - w[dark]) for k in range(h.n) if k != dark]
+        if min(gaps) < DEGENERACY_GAP:
+            flagged.append(i)
+            values[i] = np.inf
+            continue
+        values[i] = max(abs(float(V[:, k] @ dpsi[i])) / abs(w[k] - w[dark])
+                        for k in range(h.n) if k != dark)
+    return values, tuple(flagged), np.array(eigenvalues), darks
+
+
+class TestBatchedMargin:
+    @given(
+        kind=st.sampled_from([Kind.SAP3, Kind.FSAP3, Kind.FOLDED5]),
+        half_length=st.floats(2000.0, 12000.0),
+        separation=st.floats(14.0, 34.0),
+        angle=st.one_of(st.just(0.0), st.floats(0.005, 0.05)),
+        cut=st.floats(0.5, 2.0),
+        kappa_ref=st.floats(0.1, 3.0),
+        detuning=st.floats(-1.0, 1.0),
+        lam=st.floats(1500.0, 1630.0),
+        n_samples=st.integers(2, 120),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sample_reference(self, kind, half_length, separation,
+                                          angle, cut, kappa_ref, detuning,
+                                          lam, n_samples):
+        try:
+            layout = build_layout(GeometrySpec(kind, half_length, separation,
+                                               angle, WIDTH, cut))
+        except GeometryError:
+            assume(False)
+        model = CouplingModel(kappa_ref=kappa_ref, d_ref=10.0,
+                              delta_decay=4.14, lambda0=LAM0,
+                              detuning=detuning)
+        values, flagged, eigenvalues, darks = per_sample_margin(
+            layout, model, lam, n_samples)
+        profile = adiabaticity_margin(layout, model, lam, n_samples)
+        assert profile.flagged == flagged
+        finite = np.isfinite(values)
+        assert np.array_equal(np.isfinite(profile.values), finite)
+        assert np.all(np.abs(profile.values[finite] - values[finite])
+                      <= 1e-12 * np.max(values[finite], initial=1e-300))
+        if angle == 0.0:
+            assert np.all(profile.values == 0.0)
+        assert np.array_equal(profile.eigenvalues, eigenvalues)
+        assert np.array_equal(profile.dark_states, darks)
+        inclined = [label - 1 for label in layout.inclined_labels]
+        assert np.all(profile.dark_states[:, inclined] == 0.0)
+
+    def test_zero_coupling_raises_like_dark_state(self, folded5_ref):
+        model = calibrated_model(folded5_ref, TARGET_RATIO, 0.0, LAM0)
+        with pytest.raises(ValueError, match="all couplings are zero"):
+            per_sample_margin(folded5_ref, model, LAM0, 11)
+        with pytest.raises(ValueError, match="all couplings are zero"):
+            adiabaticity_margin(folded5_ref, model, LAM0, 11)
+
+    def test_broken_mirror_raises_like_dark_state(self):
+        xs = (0.0, 9.0, 20.0, 29.0, 44.0)
+        layout = ArrayLayout(tuple(WaveguidePath(x, 0.0, i + 1)
+                                   for i, x in enumerate(xs)),
+                             1000.0, 6.0, Kind.FOLDED5)
+        model = CouplingModel(kappa_ref=0.7, d_ref=10.0, delta_decay=4.14,
+                              lambda0=LAM0)
+        with pytest.raises(ValueError, match="mirror"):
+            per_sample_margin(layout, model, LAM0, 5)
+        with pytest.raises(ValueError, match="mirror"):
+            adiabaticity_margin(layout, model, LAM0, 5)
 
 
 class TestSplitReport:

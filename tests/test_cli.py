@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from sapsim import dark_state, eigensystem, hamiltonian_at
 from sapsim.cli import main
+from sapsim.config import layout_from, load_config, model_from
 
 FAST = ["--override", "propagation.rtol=1e-8",
         "--override", "propagation.atol=1e-10",
@@ -135,6 +138,22 @@ class TestDarkstateCommand:
         _, rows = read_csv(tmp_path / "darkstate.csv")
         assert np.all(rows[:, 11] == 0.0)
 
+    def test_rows_match_per_sample_supermodes(self, tmp_path):
+        overrides = ["coupling.detuning=0.4", "propagation.wavelength=1610"]
+        assert run("darkstate", tmp_path, "--override", overrides[0],
+                   "--override", overrides[1],
+                   "--override", "propagation.samples=13") == 0
+        _, rows = read_csv(tmp_path / "darkstate.csv")
+        cfg = load_config(None, overrides)
+        layout = layout_from(cfg)
+        model = model_from(cfg, layout)
+        for row in rows:
+            H = hamiltonian_at(layout, model, row[0], 1610.0)
+            assert np.allclose(row[1:6], eigensystem(H).eigenvalues,
+                               rtol=0.0, atol=1e-14)
+            assert np.allclose(row[6:11], dark_state(H), rtol=0.0, atol=1e-15)
+            assert row[7] == 0.0 and row[9] == 0.0
+
     def test_zero_angle_without_decay_length_rejected(self, tmp_path):
         assert run("darkstate", tmp_path,
                    "--override", "geometry.angle=0") == 2
@@ -214,3 +233,25 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "propagate_summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "sweep"])
+def test_non_finite_coupling_exits_3(tmp_path, command):
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sapsim", command, "--out", str(tmp_path),
+         "--override", "coupling.kappa_ref=nan"],
+        capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 30.0
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numerical failure:")
+
+
+def test_import_does_not_load_the_integrator():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sapsim; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

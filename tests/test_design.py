@@ -77,6 +77,18 @@ class TestGridSearch:
         assert distance(nearest) < 1e-9
         assert ranked_125.index(nearest) + 1 <= 13
 
+    def test_equal_profile_designs_tie_exactly(self, ranked_125):
+        # at fixed length and facet ratio every valid (alpha, separation)
+        # pair has the same coupling profile; their scores differ only by
+        # rounding, so they must share one score and rank by parameters
+        block = [c for c in ranked_125
+                 if c.valid and c.params.half_length_um == 7500.0]
+        assert len(block) == 15
+        assert ranked_125[:15] == block
+        assert len({c.score for c in block}) == 1
+        params = [c.params.as_tuple() for c in block]
+        assert params == sorted(params)
+
     def test_best_block_picks_reference_length(self, ranked_125):
         assert ranked_125[0].objectives.device_length_um == 15000.0
         assert ranked_125[0].objectives.worst_crosstalk_db <= -15.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sapsim import (ArrayLayout, CouplingModel, IntegrationError, Kind,
                     build_folded5, build_layout, calibrated_model,
                     hamiltonian_at, nominal_input, propagate, propagate_oracle,
                     unit_state)
+from sapsim.propagator import _rhs
 
 from conftest import (ANGLE, HALF_LENGTH, KAPPA_REF, LAM0, SEPARATION,
                       TARGET_RATIO, WIDTH)
@@ -56,6 +58,18 @@ class TestHamiltonianAt:
         assert H[0, 1] == pytest.approx(H[3, 4], rel=1e-12)
         assert H[1, 2] == pytest.approx(H[2, 3], rel=1e-12)
 
+    @pytest.mark.parametrize("layout_name", ["sap3_ref", "folded5_ref"])
+    def test_couplings_match_pairwise_kappa(self, request, layout_name):
+        # the vectorized assembly against the scalar CouplingModel.kappa of
+        # each pair's separation, an independent route to the same formula
+        layout = request.getfixturevalue(layout_name)
+        model = calibrated_model(layout, TARGET_RATIO, KAPPA_REF, LAM0)
+        for z in (0.0, 1234.5, HALF_LENGTH, layout.z_end_um):
+            H = hamiltonian_at(layout, model, z, 1610.0).matrix
+            for i in range(1, layout.n_guides):
+                k = model.kappa(layout.separation(i, i + 1, z), 1610.0)
+                assert H[i - 1, i] == pytest.approx(k, rel=1e-13)
+
     def test_zero_angle_z_independent(self):
         lay = build_folded5(HALF_LENGTH, SEPARATION, 0.0, WIDTH)
         model = calibrated_model(build_folded5(HALF_LENGTH, SEPARATION, ANGLE,
@@ -64,6 +78,25 @@ class TestHamiltonianAt:
         H1 = hamiltonian_at(lay, model, 0.0, LAM0).matrix
         H2 = hamiltonian_at(lay, model, 9000.0, LAM0).matrix
         assert np.array_equal(H1, H2)
+
+
+class TestRhs:
+    @pytest.mark.parametrize("layout_name", ["sap3_ref", "fsap3_ref",
+                                             "folded5_ref"])
+    def test_matches_dense_hamiltonian(self, request, layout_name):
+        layout = request.getfixturevalue(layout_name)
+        rng = np.random.default_rng(7)
+        for lam, detuning in ((1500.0, 0.37), (1630.0, -1.2)):
+            model = calibrated_model(layout, TARGET_RATIO, KAPPA_REF, LAM0,
+                                     detuning=detuning)
+            rhs = _rhs(layout, model, lam)
+            for z in rng.uniform(0.0, layout.z_end_um, 25):
+                a = (rng.normal(size=layout.n_guides)
+                     + 1j * rng.normal(size=layout.n_guides))
+                expected = 1j * (hamiltonian_at(layout, model, z, lam).matrix @ a)
+                got = rhs(z / 1000.0, a)
+                assert np.max(np.abs(got - expected)) \
+                    <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestPropagate:
@@ -131,6 +164,36 @@ class TestPropagate:
                            nominal_input(squeezed, LAM0))
         diff = np.max(np.abs(traj_a.final.amplitudes - traj_b.final.amplitudes))
         assert diff <= 1e-8
+
+    @pytest.mark.parametrize("layout_name", ["sap3_ref", "fsap3_ref",
+                                             "folded5_ref"])
+    def test_endpoint_only_final_bit_identical(self, request, layout_name):
+        layout = request.getfixturevalue(layout_name)
+        model = calibrated_model(layout, TARGET_RATIO, KAPPA_REF, LAM0,
+                                 detuning=0.2)
+        for lam in (1500.0, 1565.0, 1630.0):
+            state = nominal_input(layout, lam)
+            dense = propagate(layout, model, lam, state)
+            ends = propagate(layout, model, lam, state,
+                             PropagationOptions(n_samples=2))
+            assert np.array_equal(ends.final.amplitudes,
+                                  dense.final.amplitudes)
+            assert list(ends.z_um) == [0.0, dense.z_um[-1]]
+            assert ends.stats.n_steps == dense.stats.n_steps
+            # no dense-output stages without interior samples
+            assert ends.stats.n_rhs_evals < dense.stats.n_rhs_evals
+
+    @pytest.mark.parametrize("field", ["kappa_ref", "detuning", "rho"])
+    def test_non_finite_model_rejected(self, folded5_ref, model_ref, field):
+        model = replace(model_ref, **{field: math.nan})
+        with pytest.raises(IntegrationError):
+            propagate(folded5_ref, model, LAM0, nominal_input(folded5_ref, LAM0))
+
+    def test_non_finite_input_rejected(self, folded5_ref, model_ref):
+        state = nominal_input(folded5_ref, LAM0)
+        state.amplitudes[0] = complex(math.inf, 0.0)
+        with pytest.raises(IntegrationError):
+            propagate(folded5_ref, model_ref, LAM0, state)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_integration_failure_reported(self, folded5_ref):
