@@ -141,6 +141,9 @@ def cmd_farfield(cfg, out: Path) -> None:
 
 
 def cmd_darkstate(cfg, out: Path) -> None:
+    if cfg.coupling.kappa_ref == 0:
+        raise ConfigError("coupling.kappa_ref: darkstate needs a positive "
+                          "coupling; with none the dark state is undefined")
     layout = cfgmod.layout_from(cfg)
     opts = cfgmod.propagation_options(cfg)
     model = cfgmod.model_from(cfg, layout, opts)

@@ -122,25 +122,31 @@ _SECTIONS = {
 _STRING_KEYS = {("geometry", "kind"), ("geometry", "separation_convention")}
 
 
+def _finite(path: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    return value
+
+
 def _parse_value(section: str, key: str, raw, target_type):
     path = f"{section}.{key}"
     if (section, key) in (("coupling", "kappa_ref"), ("coupling", "delta_decay")):
         if isinstance(raw, str) and raw.strip().lower() == AUTO:
             return AUTO
         try:
-            return float(raw)
-        except (TypeError, ValueError):
+            return _finite(path, float(raw))
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{path}: expected a number or 'auto', got {raw!r}")
     if (section, key) in _STRING_KEYS:
         return str(raw).strip().lower()
     try:
         if target_type is int:
             value = int(str(raw).strip()) if isinstance(raw, str) else raw
-            if value != int(value):
+            if value != int(_finite(path, value)):
                 raise ValueError
             return int(value)
-        return float(raw)
-    except (TypeError, ValueError):
+        return _finite(path, float(raw))
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: expected {target_type.__name__}, got {raw!r}")
 
 
@@ -247,8 +253,10 @@ def validate(cfg: RunConfig):
     if not 0 < c.resolution <= 0.02:
         fail("coupling.resolution", "must lie in (0, 0.02]")
 
-    if p.rtol <= 0 or p.atol <= 0:
-        fail("propagation.rtol", "tolerances must be positive")
+    if p.rtol <= 0:
+        fail("propagation.rtol", "must be positive")
+    if p.atol <= 0:
+        fail("propagation.atol", "must be positive")
     if p.samples < 2:
         fail("propagation.samples", "must be at least 2")
     if p.wavelength <= 0:
@@ -291,6 +299,16 @@ def validate(cfg: RunConfig):
         fail("design.refine_iters", "must be non-negative")
     if d.budget < 1:
         fail("design.budget", "must be at least 1")
+
+    # delta(lam) = delta_decay * (1 + rho (lam - lambda0) / lambda0) is linear
+    # in lam, so positive ends keep every wavelength in between positive
+    for name, lam in (("sweep.lambda_min", s.lambda_min),
+                      ("sweep.lambda_max", s.lambda_max),
+                      ("propagation.wavelength", p.wavelength),
+                      ("farfield.wavelength", f.wavelength)):
+        if 1.0 + c.rho * (lam - c.lambda0) / c.lambda0 <= 0:
+            fail("coupling.rho", f"decay length non-positive at {name} = "
+                 f"{lam} nm (need 1 + rho (lam - lambda0) / lambda0 > 0)")
 
 
 def geometry_spec(cfg: RunConfig) -> GeometrySpec:

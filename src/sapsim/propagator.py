@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import dop853
 from .coupling import CouplingModel
 from .errors import IntegrationError
 from .geometry import ArrayLayout
@@ -85,11 +86,13 @@ class PropagationOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     n_samples: int = 512
-    method: str = "DOP853"
 
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError("n_samples must be at least 2")
+        # a NaN tolerance would leave the step control shrinking forever
+        if not (0 < self.rtol < np.inf and 0 <= self.atol < np.inf):
+            raise ValueError("need finite tolerances, rtol > 0 and atol >= 0")
 
 
 DEFAULT_OPTIONS = PropagationOptions()
@@ -186,16 +189,15 @@ def propagate(layout: ArrayLayout, model: CouplingModel, lam: float,
               state: StateVector, opts: PropagationOptions = None) -> Trajectory:
     """Integrate -i da/dz = H(z) a from z = 0 to the layout end.
 
-    Uses an adaptive embedded Runge-Kutta pair (DOP853 by default); the
-    returned trajectory holds ``opts.n_samples`` equally spaced samples, the
-    first at z = 0 and the last at z_end. Dense output is built only when
-    interior samples are asked for (``n_samples > 2``); it does not change
-    the integrator's steps, so the final state is the same either way, but
-    its extra stages count in ``n_rhs_evals``. ``max_norm_drift`` is taken
-    over the integrator's step points and the samples.
+    Uses the adaptive embedded Runge-Kutta pair DOP853 (``dop853.solve``,
+    bit-identical to scipy's ``solve_ivp``); the returned trajectory holds
+    ``opts.n_samples`` equally spaced samples, the first at z = 0 and the
+    last at z_end. Dense output is built only when interior samples are
+    asked for (``n_samples > 2``); it does not change the integrator's
+    steps, so the final state is the same either way, but its extra stages
+    count in ``n_rhs_evals``. ``max_norm_drift`` is taken over the
+    integrator's step points and the samples.
     """
-    from scipy.integrate import solve_ivp
-
     opts = opts or DEFAULT_OPTIONS
     rhs = _rhs(layout, model, lam)
     a0 = np.asarray(state.amplitudes, dtype=complex)
@@ -203,12 +205,12 @@ def propagate(layout: ArrayLayout, model: CouplingModel, lam: float,
         raise IntegrationError(f"non-finite input state at lam = {lam} nm")
     z_end_mm = layout.z_end_um / UM_PER_MM
     dense = opts.n_samples > 2
-    sol = solve_ivp(rhs, (0.0, z_end_mm), a0, method=opts.method,
-                    rtol=opts.rtol, atol=opts.atol, dense_output=dense)
-    if not sol.success:
+    try:
+        sol = dop853.solve(rhs, 0.0, z_end_mm, a0, opts.rtol, opts.atol,
+                           dense_output=dense)
+    except IntegrationError as exc:
         raise IntegrationError(
-            f"propagation failed at lam = {lam} nm: {sol.message}"
-        )
+            f"propagation failed at lam = {lam} nm: {exc}") from None
 
     zs_mm = np.linspace(0.0, z_end_mm, opts.n_samples)
     ys = sol.sol(zs_mm) if dense else np.empty((a0.size, 2), dtype=complex)
@@ -257,14 +259,13 @@ def propagate_oracle(layout: ArrayLayout, model: CouplingModel, lam: float,
 def backpropagate_check(trajectory: Trajectory) -> float:
     """Integrate the final state backward and return the Euclidean distance
     to the original input; small residuals certify the forward solution."""
-    from scipy.integrate import solve_ivp
-
     layout, lam = trajectory.layout, trajectory.wavelength_nm
     opts = trajectory.options
     rhs = _rhs(layout, trajectory.model, lam)
     z_end_mm = layout.z_end_um / UM_PER_MM
-    sol = solve_ivp(rhs, (z_end_mm, 0.0), trajectory.final.amplitudes,
-                    method=opts.method, rtol=opts.rtol, atol=opts.atol)
-    if not sol.success:
-        raise IntegrationError(f"backward propagation failed: {sol.message}")
+    try:
+        sol = dop853.solve(rhs, z_end_mm, 0.0, trajectory.final.amplitudes,
+                           opts.rtol, opts.atol)
+    except IntegrationError as exc:
+        raise IntegrationError(f"backward propagation failed: {exc}") from None
     return float(np.linalg.norm(sol.y[:, -1] - trajectory.samples[0].amplitudes))

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from sapsim import config as cfgmod
 from sapsim import dark_state, eigensystem, hamiltonian_at
 from sapsim.cli import main
 from sapsim.config import layout_from, load_config, model_from
@@ -235,23 +237,81 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "propagate_summary.json").exists()
 
 
-@pytest.mark.parametrize("command", ["propagate", "sweep"])
-def test_non_finite_coupling_exits_3(tmp_path, command):
+def run_bounded(command, out, override):
+    """Run the CLI in a subprocess that must finish within 30 s."""
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "sapsim", command, "--out", str(tmp_path),
-         "--override", "coupling.kappa_ref=nan"],
+        [sys.executable, "-m", "sapsim", command, "--out", str(out),
+         "--override", override],
         capture_output=True, text=True, timeout=30)
     assert time.monotonic() - start < 30.0
-    assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("numerical failure:")
+    return proc
 
 
-def test_import_does_not_load_the_integrator():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sapsim; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, timeout=60)
+@pytest.mark.parametrize("command", ["propagate", "sweep"])
+def test_non_finite_coupling_exits_2(tmp_path, command):
+    proc = run_bounded(command, tmp_path, "coupling.kappa_ref=nan")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: coupling.kappa_ref:")
+
+
+@pytest.mark.parametrize("command", ["propagate", "sweep"])
+def test_overflowing_rhs_exits_3(tmp_path, command):
+    # finite coupling, but i H a overflows: the step size underflows
+    proc = run_bounded(command, tmp_path, "coupling.kappa_ref=1e300")
+    assert proc.returncode == 3
+    # numpy's overflow warnings come first
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("numerical failure:")
+    assert last.endswith("Required step size is less than spacing between "
+                         "numbers.")
+
+
+def test_import_does_not_load_the_integrator(tmp_path):
+    # neither importing sapsim nor running the propagating commands may
+    # load scipy's ODE package (about 0.6 s of cold start)
+    script = (
+        "import sys, sapsim\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "from sapsim.cli import main\n"
+        f"fast = {FAST!r}\n"
+        "for command in ('propagate', 'sweep', 'farfield', 'calibrate'):\n"
+        f"    assert main([command, '--out', {str(tmp_path)!r}, *fast]) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
+    assert (tmp_path / "calibrate.json").exists()
+
+
+NUMERIC_KEYS = [
+    f"{section}.{f.name}"
+    for section, cls in cfgmod._SECTIONS.items() for f in fields(cls)
+    if (section, f.name) not in cfgmod._STRING_KEYS
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_non_finite_override_is_a_config_error(tmp_path, capsys, key, value):
+    assert main(["propagate", "--out", str(tmp_path),
+                 "--override", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}:")
+    assert "Traceback" not in err
+
+
+def test_decay_length_sign_checked_at_config_time(tmp_path, capsys):
+    assert run("sweep", tmp_path, "--override", "coupling.rho=200") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: coupling.rho:")
+    assert "sweep.lambda_min = 1500.0 nm" in err
+
+
+def test_darkstate_needs_coupling(tmp_path, capsys):
+    assert run("darkstate", tmp_path, "--override", "coupling.kappa_ref=0") == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: coupling.kappa_ref:")

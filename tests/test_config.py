@@ -78,6 +78,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"sweep\.n_points"):
             load_config(path)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("sweep", "n_points", float("nan")),
+        ("sweep", "n_points", float("inf")),
+        ("geometry", "half_length", float("-inf")),
+        ("coupling", "kappa_ref", float("nan")),
+    ])
+    def test_json_non_finite_numbers_rejected(self, tmp_path, section, key,
+                                              value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({section: {key: value}}))  # NaN, Infinity
+        with pytest.raises(ConfigError,
+                           match=rf"{section}\.{key}: must be a finite number"):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
@@ -122,10 +136,24 @@ class TestOverridesAndValidation:
         ("farfield.waist=-1", "farfield.waist"),
         ("design.steps_alpha=0", "design.steps_alpha"),
         ("propagation.samples=1", "propagation.samples"),
+        ("propagation.rtol=0", "propagation.rtol"),
+        ("propagation.atol=-1e-12", "propagation.atol"),
+        ("coupling.rho=200", "coupling.rho"),
+        ("coupling.rho=-200", "coupling.rho"),
     ])
     def test_precondition_violations_name_key(self, override, path):
         with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
             load_config(None, [override])
+
+    @pytest.mark.parametrize("wavelength_key", [
+        "propagation.wavelength", "farfield.wavelength"])
+    def test_decay_length_checked_at_each_used_wavelength(self,
+                                                          wavelength_key):
+        # rho = 2 keeps the 1500-1630 nm band positive, not 100 nm
+        with pytest.raises(ConfigError,
+                           match=rf"^coupling\.rho: .*{wavelength_key} = 100"):
+            load_config(None, ["coupling.rho=2", f"{wavelength_key}=100"])
+        load_config(None, ["coupling.rho=1", f"{wavelength_key}=100"])
 
 
 class TestBuilders:

@@ -195,6 +195,14 @@ class TestPropagate:
         with pytest.raises(IntegrationError):
             propagate(folded5_ref, model_ref, LAM0, state)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(rtol=math.nan), dict(atol=math.nan), dict(rtol=math.inf),
+        dict(rtol=0.0), dict(atol=-1e-12), dict(n_samples=1)])
+    def test_invalid_options_rejected(self, kwargs):
+        # a NaN tolerance would otherwise shrink the step forever
+        with pytest.raises(ValueError):
+            PropagationOptions(**kwargs)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_integration_failure_reported(self, folded5_ref):
         model = calibrated_model(folded5_ref, TARGET_RATIO, 1e160, LAM0)
