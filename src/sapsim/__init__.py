@@ -4,10 +4,9 @@ integrated beam splitters."""
 from .errors import (CalibrationError, ConfigError, GeometryError,
                      IntegrationError, SapsimError)
 from .geometry import (ArrayLayout, GeometrySpec, Kind, WaveguidePath,
-                       build_fsap3, build_folded5, build_layout, build_sap3,
-                       separation)
+                       build_fsap3, build_folded5, build_layout, build_sap3)
 from .coupling import (CouplingModel, calibrate_decay, calibrate_strength,
-                       calibrated_model, kappa)
+                       calibrated_model)
 from .propagator import (Hamiltonian, IntegratorStats, PropagationOptions,
                          StateVector, Trajectory, backpropagate_check,
                          hamiltonian_at, nominal_input, propagate,

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingModel
-from .geometry import ArrayLayout, Kind
+from .geometry import TOPOLOGY, ArrayLayout, Kind
 from .propagator import Hamiltonian, StateVector, coupling_chain, tridiagonal
 
 CROSSTALK_FLOOR_DB = -120.0
 DEGENERACY_GAP = 1e-12
-
-_CENTRAL_INDEX = {Kind.SAP3: 1, Kind.FSAP3: 1, Kind.FOLDED5: 2}
-_OUTPUT_INDICES = {Kind.SAP3: (0, 2), Kind.FSAP3: (0, 2), Kind.FOLDED5: (0, 4)}
 
 
 def _as_matrix(H) -> np.ndarray:
@@ -53,8 +50,8 @@ def _dark_vectors(k: np.ndarray) -> np.ndarray:
     """Closed-form dark states (s, n) from nearest-neighbor couplings (s, n-1).
 
     Raises ValueError unless n is 3 or 5, when both couplings vanish at a
-    sample, or when a 5-guide sample lacks the mirror pattern
-    k34 = k23, k45 = k12 (to 1e-9 relative).
+    sample, when a 5-guide sample lacks the mirror pattern
+    k34 = k23, k45 = k12 (to 1e-9 relative), or when a norm overflows.
     """
     n = k.shape[-1] + 1
     if n not in (3, 5):
@@ -72,7 +69,10 @@ def _dark_vectors(k: np.ndarray) -> np.ndarray:
             raise ValueError("5-guide matrix lacks the mirror coupling pattern")
         v = np.stack([-k23, zero, k12, zero, -k23], axis=1)
         ref = 2
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norm)):
+        raise ValueError("dark state undefined: coupling norm is not finite")
+    v /= norm
     return np.where(v[:, ref:ref + 1] < 0, -v, v)
 
 
@@ -162,13 +162,14 @@ def split_report(state: StateVector, kind: Kind) -> SplitReport:
         raise ValueError("total power is zero")
     fractions = powers / total
 
-    central = fractions[_CENTRAL_INDEX[kind]]
+    topology = TOPOLOGY[kind]
+    central = fractions[topology.central_label - 1]
     if central > 0.0:
         crosstalk = max(10.0 * math.log10(central), CROSSTALK_FLOOR_DB)
     else:
         crosstalk = CROSSTALK_FLOOR_DB
 
-    i, j = _OUTPUT_INDICES[kind]
+    i, j = (label - 1 for label in topology.output_labels)
     a_i, a_j = state.amplitudes[i], state.amplitudes[j]
     phase = float(np.angle(a_i * np.conj(a_j)))
     if phase <= -math.pi:

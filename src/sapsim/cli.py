@@ -14,13 +14,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from .analysis import adiabaticity_margin, split_report
-from .coupling import calibrate_decay, calibrate_strength, calibrated_model
 from .design import (ObjectiveConfig, ObjectiveWeights, ParameterBounds,
                      grid_search, refine_local)
 from .errors import CalibrationError, ConfigError, IntegrationError, SapsimError
@@ -59,19 +59,24 @@ def _report_dict(report) -> dict:
     }
 
 
-def cmd_propagate(cfg, out: Path) -> None:
+def _load(cfg):
+    """The layout, propagation options and coupling model of a run."""
     layout = cfgmod.layout_from(cfg)
     opts = cfgmod.propagation_options(cfg)
-    model = cfgmod.model_from(cfg, layout, opts)
+    return layout, opts, cfgmod.model_from(cfg, layout, opts)
+
+
+def cmd_propagate(cfg, out: Path) -> None:
+    layout, opts, model = _load(cfg)
     lam = cfg.propagation.wavelength
     traj = propagate(layout, model, lam, nominal_input(layout, lam), opts)
 
     n = layout.n_guides
     header = ["z_um"] + [f"I_{i}" for i in range(1, n + 1)] \
         + [f"phase_{i}" for i in range(1, n + 1)]
-    rows = []
-    for s in traj.samples:
-        rows.append([s.z_um] + list(s.powers()) + list(np.angle(s.amplitudes)))
+    a = traj.amplitudes
+    rows = [[z, *p, *phase] for z, p, phase in
+            zip(traj.z_um, np.abs(a) ** 2, np.angle(a))]
     _write_csv(out / "propagate.csv", header, rows)
 
     report = split_report(traj.final, layout.kind)
@@ -88,9 +93,7 @@ def cmd_propagate(cfg, out: Path) -> None:
 
 
 def cmd_sweep(cfg, out: Path) -> None:
-    layout = cfgmod.layout_from(cfg)
-    opts = cfgmod.propagation_options(cfg)
-    model = cfgmod.model_from(cfg, layout, opts)
+    layout, opts, model = _load(cfg)
     sw = cfg.sweep
     curve = sweep_wavelength(layout, model, sw.lambda_min, sw.lambda_max,
                              sw.n_points, opts=opts)
@@ -117,9 +120,7 @@ def cmd_sweep(cfg, out: Path) -> None:
 
 
 def cmd_farfield(cfg, out: Path) -> None:
-    layout = cfgmod.layout_from(cfg)
-    opts = cfgmod.propagation_options(cfg)
-    model = cfgmod.model_from(cfg, layout, opts)
+    layout, opts, model = _load(cfg)
     ff = cfg.farfield
     traj = propagate(layout, model, ff.wavelength,
                      nominal_input(layout, ff.wavelength), opts)
@@ -144,11 +145,14 @@ def cmd_darkstate(cfg, out: Path) -> None:
     if cfg.coupling.kappa_ref == 0:
         raise ConfigError("coupling.kappa_ref: darkstate needs a positive "
                           "coupling; with none the dark state is undefined")
-    layout = cfgmod.layout_from(cfg)
-    opts = cfgmod.propagation_options(cfg)
-    model = cfgmod.model_from(cfg, layout, opts)
+    layout, _, model = _load(cfg)
     lam = cfg.propagation.wavelength
-    profile = adiabaticity_margin(layout, model, lam, cfg.propagation.samples)
+    try:
+        profile = adiabaticity_margin(layout, model, lam,
+                                      cfg.propagation.samples)
+    except ValueError as exc:
+        # couplings that underflow to zero or overflow the norm
+        raise IntegrationError(f"{exc} at lam = {lam} nm") from None
 
     n = layout.n_guides
     header = ["z_um"] + [f"ev_{i}" for i in range(1, n + 1)] \
@@ -224,25 +228,15 @@ def cmd_optimize(cfg, out: Path) -> None:
 
 
 def cmd_calibrate(cfg, out: Path) -> None:
-    layout = cfgmod.layout_from(cfg)
-    opts = cfgmod.propagation_options(cfg)
-    c = cfg.coupling
-    delta0 = calibrate_decay(layout, c.target_ratio, c.lambda0)
-    base = calibrated_model(layout, c.target_ratio, 1.0, c.lambda0, c.rho,
-                            c.detuning)
-    kappa_ref = calibrate_strength(layout, base, c.lambda0,
-                                   c.crosstalk_target_db, kappa_min=c.kappa_min,
-                                   kappa_max=c.kappa_max,
-                                   resolution=c.resolution, opts=opts)
-    model = calibrated_model(layout, c.target_ratio, kappa_ref, c.lambda0,
-                             c.rho, c.detuning)
+    c = replace(cfg.coupling, kappa_ref=cfgmod.AUTO, delta_decay=cfgmod.AUTO)
+    layout, opts, model = _load(replace(cfg, coupling=c))
     traj = propagate(layout, model, c.lambda0,
                      nominal_input(layout, c.lambda0), opts)
     report = split_report(traj.final, layout.kind)
     _write_json(out / "calibrate.json", {
-        "delta_decay_um": float(delta0),
+        "delta_decay_um": float(model.delta_decay),
         "d_ref_um": float(model.d_ref),
-        "kappa_ref": float(kappa_ref),
+        "kappa_ref": float(model.kappa_ref),
         "crosstalk_target_db": float(c.crosstalk_target_db),
         "achieved_crosstalk_db": float(report.crosstalk_db),
         "search": {

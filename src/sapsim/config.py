@@ -28,76 +28,125 @@ DEFAULT_KAPPA_REF = 0.7175
 
 
 @dataclass(frozen=True)
+class Domain:
+    """The values a config key accepts.
+
+    Numbers must be finite and lie between ``lo`` and ``hi`` (None leaves a
+    side unbounded; an open end excludes its bound). A key with ``choices``
+    takes one of those strings; ``auto`` also admits the string 'auto'.
+    """
+
+    lo: float = None
+    hi: float = None
+    open_lo: bool = False
+    open_hi: bool = False
+    choices: tuple = ()
+    auto: bool = False
+
+    def describe(self) -> str:
+        if self.choices:
+            return "must be one of " + ", ".join(self.choices)
+        bounds = []
+        if self.lo is not None:
+            bounds.append(f"{'>' if self.open_lo else '>='} {self.lo!r}")
+        if self.hi is not None:
+            bounds.append(f"{'<' if self.open_hi else '<='} {self.hi!r}")
+        text = "must be " + " and ".join(bounds)
+        return text + " or 'auto'" if self.auto else text
+
+    def admits(self, value) -> bool:
+        if self.choices:
+            return value in self.choices
+        below = self.lo is not None and (
+            value <= self.lo if self.open_lo else value < self.lo)
+        above = self.hi is not None and (
+            value >= self.hi if self.open_hi else value > self.hi)
+        return not (below or above)
+
+
+def key(default, lo=None, hi=None, **domain):
+    """A config key with its default and its Domain."""
+    return field(default=default,
+                 metadata={"domain": Domain(lo, hi, **domain)})
+
+
+def positive(default):
+    """A config key that must be > 0."""
+    return key(default, 0, open_lo=True)
+
+
+@dataclass(frozen=True)
 class GeometrySection:
-    kind: str = "folded5"
-    half_length: float = 7500.0
-    outer_separation: float = 22.0
-    angle: float = 0.03
-    width: float = 6.0
-    cut_fraction: float = 1.0
-    separation_convention: str = "center"   # center | edge
+    kind: str = key("folded5", choices=tuple(k.value for k in Kind))
+    half_length: float = positive(7500.0)
+    outer_separation: float = positive(22.0)
+    angle: float = key(0.03, 0, 5)
+    width: float = positive(6.0)
+    cut_fraction: float = key(1.0, 0, 2, open_lo=True)
+    separation_convention: str = key("center", choices=("center", "edge"))
 
 
 @dataclass(frozen=True)
 class CouplingSection:
-    target_ratio: float = 0.15
-    kappa_ref: object = DEFAULT_KAPPA_REF   # float or "auto"
-    delta_decay: object = AUTO              # um, or "auto" = from target_ratio
-    rho: float = 1.0
-    detuning: float = 0.0
-    lambda0: float = 1550.0
-    crosstalk_target_db: float = -20.0      # used when kappa_ref = auto
-    kappa_min: float = 0.05
-    kappa_max: float = 20.0
-    resolution: float = 0.02
+    target_ratio: float = key(0.15, 0, 1, open_lo=True, open_hi=True)
+    kappa_ref: object = key(DEFAULT_KAPPA_REF, 0, auto=True)
+    # um, or auto = calibrated from target_ratio
+    delta_decay: object = key(AUTO, 0, open_lo=True, auto=True)
+    rho: float = key(1.0)
+    detuning: float = key(0.0)
+    lambda0: float = positive(1550.0)
+    crosstalk_target_db: float = key(-20.0, hi=0)   # used when kappa_ref = auto
+    kappa_min: float = positive(0.05)
+    kappa_max: float = key(20.0)
+    resolution: float = key(0.02, 0, 0.02, open_lo=True)
 
 
 @dataclass(frozen=True)
 class PropagationSection:
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    samples: int = 512
-    wavelength: float = 1550.0
+    rtol: float = positive(1e-10)
+    atol: float = positive(1e-12)
+    samples: int = key(512, 2, 100_000)
+    wavelength: float = positive(1550.0)
 
 
 @dataclass(frozen=True)
 class SweepSection:
-    lambda_min: float = 1500.0
-    lambda_max: float = 1630.0
-    n_points: int = 27
+    lambda_min: float = key(1500.0)
+    lambda_max: float = key(1630.0)
+    n_points: int = key(27, 1, 10_000)
 
 
 @dataclass(frozen=True)
 class FarfieldSection:
-    wavelength: float = 1560.0
-    theta_max: float = 0.15
-    n_points: int = 2001
-    waist: float = 3.0
-    include_central_above: float = 0.05
+    wavelength: float = positive(1560.0)
+    theta_max: float = key(0.15, 0, math.pi / 2, open_lo=True)
+    n_points: int = key(2001, 3, 1_000_000)
+    waist: float = positive(3.0)
+    include_central_above: float = key(0.05, 0)
 
 
 @dataclass(frozen=True)
 class DesignSection:
-    alpha_min: float = 0.015
-    alpha_max: float = 0.045
-    separation_min: float = 11.0
-    separation_max: float = 33.0
-    half_length_min: float = 3750.0
-    half_length_max: float = 11250.0
-    ratio_min: float = 0.15
-    ratio_max: float = 0.15
-    steps_alpha: int = 5
-    steps_separation: int = 5
-    steps_half_length: int = 5
-    steps_ratio: int = 1
-    w_crosstalk: float = 1.0
-    w_imbalance: float = 1.0
-    w_length: float = 0.25
-    w_adiabaticity: float = 0.5
-    requirement_db: float = -15.0
-    band_points: int = 9
-    refine_iters: int = 0
-    budget: int = 2000
+    alpha_min: float = key(0.015, 0)
+    alpha_max: float = key(0.045)
+    separation_min: float = positive(11.0)
+    separation_max: float = key(33.0)
+    half_length_min: float = positive(3750.0)
+    half_length_max: float = key(11250.0)
+    ratio_min: float = positive(0.15)
+    ratio_max: float = key(0.15, hi=1, open_hi=True)
+    steps_alpha: int = key(5, 1, 1000)
+    steps_separation: int = key(5, 1, 1000)
+    steps_half_length: int = key(5, 1, 1000)
+    steps_ratio: int = key(1, 1, 1000)
+    w_crosstalk: float = key(1.0, 0)
+    w_imbalance: float = key(1.0, 0)
+    w_length: float = key(0.25, 0)
+    w_adiabaticity: float = key(0.5, 0)
+    requirement_db: float = key(-15.0)
+    band_points: int = key(9, 1, 1000)
+    refine_iters: int = key(0, 0, 10_000)
+    budget: int = key(2000, 1, 100_000)
 
 
 @dataclass(frozen=True)
@@ -110,16 +159,8 @@ class RunConfig:
     design: DesignSection = field(default_factory=DesignSection)
 
 
-_SECTIONS = {
-    "geometry": GeometrySection,
-    "coupling": CouplingSection,
-    "propagation": PropagationSection,
-    "sweep": SweepSection,
-    "farfield": FarfieldSection,
-    "design": DesignSection,
-}
-
-_STRING_KEYS = {("geometry", "kind"), ("geometry", "separation_convention")}
+# section name -> section dataclass; each field's metadata holds its Domain
+SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def _finite(path: str, value: float) -> float:
@@ -128,43 +169,46 @@ def _finite(path: str, value: float) -> float:
     return value
 
 
-def _parse_value(section: str, key: str, raw, target_type):
-    path = f"{section}.{key}"
-    if (section, key) in (("coupling", "kappa_ref"), ("coupling", "delta_decay")):
-        if isinstance(raw, str) and raw.strip().lower() == AUTO:
-            return AUTO
+def _parse_value(path: str, raw, spec):
+    """``raw`` as the type of config field ``spec``, checked against its
+    Domain."""
+    domain = spec.metadata["domain"]
+    if domain.auto and isinstance(raw, str) and raw.strip().lower() == AUTO:
+        return AUTO
+    if domain.choices:
+        value = str(raw).strip().lower()
+    else:
+        target = int if isinstance(spec.default, int) else float
         try:
-            return _finite(path, float(raw))
+            if target is int:
+                value = int(str(raw).strip()) if isinstance(raw, str) else raw
+                if value != int(_finite(path, value)):
+                    raise ValueError
+                value = int(value)
+            else:
+                value = _finite(path, float(raw))
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{path}: expected a number or 'auto', got {raw!r}")
-    if (section, key) in _STRING_KEYS:
-        return str(raw).strip().lower()
-    try:
-        if target_type is int:
-            value = int(str(raw).strip()) if isinstance(raw, str) else raw
-            if value != int(_finite(path, value)):
-                raise ValueError
-            return int(value)
-        return _finite(path, float(raw))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: expected {target_type.__name__}, got {raw!r}")
+            expected = f"{target.__name__} or 'auto'" if domain.auto \
+                else target.__name__
+            raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
+    if not domain.admits(value):
+        raise ConfigError(f"{path}: {domain.describe()}, got {value!r}")
+    return value
 
 
 def _merge(raw: dict) -> RunConfig:
     kwargs = {}
     for section, data in raw.items():
-        if section not in _SECTIONS:
+        if section not in SECTIONS:
             raise ConfigError(f"{section}: unknown section")
-        cls = _SECTIONS[section]
-        known = {f.name: f.type for f in fields(cls)}
+        cls = SECTIONS[section]
+        specs = {f.name: f for f in fields(cls)}
         values = {}
-        for key, value in data.items():
-            if key not in known:
-                raise ConfigError(f"{section}.{key}: unknown key")
-            default = getattr(cls(), key)
-            target = int if isinstance(default, int) and not isinstance(default, bool) \
-                else float
-            values[key] = _parse_value(section, key, value, target)
+        for name, value in data.items():
+            if name not in specs:
+                raise ConfigError(f"{section}.{name}: unknown key")
+            values[name] = _parse_value(f"{section}.{name}", value,
+                                        specs[name])
         kwargs[section] = cls(**values)
     return RunConfig(**kwargs)
 
@@ -214,91 +258,23 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 
 def validate(cfg: RunConfig):
+    """The rules that tie keys together; _merge checks each key alone."""
     g, c, p, s, f, d = (cfg.geometry, cfg.coupling, cfg.propagation, cfg.sweep,
                         cfg.farfield, cfg.design)
     def fail(path, msg):
         raise ConfigError(f"{path}: {msg}")
 
-    if g.kind not in ("sap3", "fsap3", "folded5"):
-        fail("geometry.kind", f"must be sap3, fsap3 or folded5, got {g.kind!r}")
-    if g.separation_convention not in ("center", "edge"):
-        fail("geometry.separation_convention", "must be center or edge")
-    if g.half_length <= 0:
-        fail("geometry.half_length", "must be positive")
-    if g.outer_separation <= 0:
-        fail("geometry.outer_separation", "must be positive")
-    if not 0 <= g.angle <= 5:
-        fail("geometry.angle", "must lie in [0, 5] degrees")
-    if g.width <= 0:
-        fail("geometry.width", "must be positive")
-    if not 0 < g.cut_fraction <= 2:
-        fail("geometry.cut_fraction", "must lie in (0, 2]")
-
-    if not 0 < c.target_ratio < 1:
-        fail("coupling.target_ratio", "must lie in (0, 1)")
-    if c.kappa_ref != AUTO and c.kappa_ref < 0:
-        fail("coupling.kappa_ref", "must be non-negative or 'auto'")
-    if c.delta_decay != AUTO and c.delta_decay <= 0:
-        fail("coupling.delta_decay", "must be positive or 'auto'")
     if c.delta_decay == AUTO and g.angle == 0:
         fail("coupling.delta_decay",
              "a straight-guide layout (angle = 0) has no facet ratio to "
              "calibrate from; set an explicit decay length")
-    if c.lambda0 <= 0:
-        fail("coupling.lambda0", "must be positive")
-    if c.crosstalk_target_db > 0:
-        fail("coupling.crosstalk_target_db", "must be <= 0 dB")
-    if not 0 < c.kappa_min < c.kappa_max:
+    if not c.kappa_min < c.kappa_max:
         fail("coupling.kappa_min", "need 0 < kappa_min < kappa_max")
-    if not 0 < c.resolution <= 0.02:
-        fail("coupling.resolution", "must lie in (0, 0.02]")
-
-    if p.rtol <= 0:
-        fail("propagation.rtol", "must be positive")
-    if p.atol <= 0:
-        fail("propagation.atol", "must be positive")
-    if p.samples < 2:
-        fail("propagation.samples", "must be at least 2")
-    if p.wavelength <= 0:
-        fail("propagation.wavelength", "must be positive")
-
-    if s.n_points < 1:
-        fail("sweep.n_points", "must be at least 1")
     if s.n_points > 1 and not s.lambda_min < s.lambda_max:
         fail("sweep.lambda_min", "need lambda_min < lambda_max")
-
-    if f.wavelength <= 0:
-        fail("farfield.wavelength", "must be positive")
-    if f.theta_max <= 0 or f.theta_max > math.pi / 2:
-        fail("farfield.theta_max", "must lie in (0, pi/2]")
-    if f.n_points < 3:
-        fail("farfield.n_points", "must be at least 3")
-    if f.waist <= 0:
-        fail("farfield.waist", "must be positive")
-    if f.include_central_above < 0:
-        fail("farfield.include_central_above", "must be non-negative")
-
-    if d.alpha_min > d.alpha_max or d.alpha_min < 0:
-        fail("design.alpha_min", "need 0 <= alpha_min <= alpha_max")
-    if not 0 < d.separation_min <= d.separation_max:
-        fail("design.separation_min", "need 0 < separation_min <= separation_max")
-    if not 0 < d.half_length_min <= d.half_length_max:
-        fail("design.half_length_min", "need 0 < half_length_min <= half_length_max")
-    if not 0 < d.ratio_min <= d.ratio_max < 1:
-        fail("design.ratio_min", "need 0 < ratio_min <= ratio_max < 1")
-    for name in ("steps_alpha", "steps_separation", "steps_half_length",
-                 "steps_ratio"):
-        if getattr(d, name) < 1:
-            fail(f"design.{name}", "must be at least 1")
-    for name in ("w_crosstalk", "w_imbalance", "w_length", "w_adiabaticity"):
-        if getattr(d, name) < 0:
-            fail(f"design.{name}", "must be non-negative")
-    if d.band_points < 1:
-        fail("design.band_points", "must be at least 1")
-    if d.refine_iters < 0:
-        fail("design.refine_iters", "must be non-negative")
-    if d.budget < 1:
-        fail("design.budget", "must be at least 1")
+    for name in ("alpha", "separation", "half_length", "ratio"):
+        if getattr(d, f"{name}_min") > getattr(d, f"{name}_max"):
+            fail(f"design.{name}_min", f"need {name}_min <= {name}_max")
 
     # delta(lam) = delta_decay * (1 + rho (lam - lambda0) / lambda0) is linear
     # in lam, so positive ends keep every wavelength in between positive

@@ -79,11 +79,6 @@ class CouplingModel:
         return replace(self, kappa_ref=self.kappa_ref * factor)
 
 
-def kappa(model: CouplingModel, d: float, lam: float) -> float:
-    """Functional form of CouplingModel.kappa."""
-    return model.kappa(d, lam)
-
-
 def facet_separations(layout: ArrayLayout):
     """(near, far) separations around the first inclined guide at z = 0."""
     inc = layout.inclined_labels[0]

@@ -34,6 +34,28 @@ class Kind(str, Enum):
 
 
 @dataclass(frozen=True)
+class Topology:
+    """The roles of a kind's guides, by 1-based label.
+
+    ``ideal_phase_rad`` is the output phase arg(a_out1 * conj(a_out2)) the
+    device is designed for.
+    """
+
+    input_label: int
+    central_label: int
+    output_labels: tuple
+    inclined_labels: tuple
+    ideal_phase_rad: float
+
+
+TOPOLOGY = {
+    Kind.SAP3: Topology(1, 2, (1, 3), (2,), math.pi),
+    Kind.FSAP3: Topology(1, 2, (1, 3), (2,), math.pi),
+    Kind.FOLDED5: Topology(3, 3, (1, 5), (2, 4), 0.0),
+}
+
+
+@dataclass(frozen=True)
 class WaveguidePath:
     """Straight centerline x(z) = x0 + slope * z.
 
@@ -109,23 +131,24 @@ class ArrayLayout:
         return len(self.paths)
 
     @property
-    def inclined_labels(self) -> tuple:
-        """Labels of guides with nonzero slope, by kind convention."""
-        return (2,) if self.kind in (Kind.SAP3, Kind.FSAP3) else (2, 4)
+    def input_label(self) -> int:
+        """The launched guide."""
+        return TOPOLOGY[self.kind].input_label
 
     @property
     def central_label(self) -> int:
         """The guide whose residual power defines crosstalk."""
-        return 2 if self.kind in (Kind.SAP3, Kind.FSAP3) else 3
+        return TOPOLOGY[self.kind].central_label
 
     @property
     def output_labels(self) -> tuple:
         """The two guides carrying the intended split outputs."""
-        return (1, 3) if self.kind in (Kind.SAP3, Kind.FSAP3) else (1, 5)
+        return TOPOLOGY[self.kind].output_labels
 
     @property
-    def input_label(self) -> int:
-        return 1 if self.kind in (Kind.SAP3, Kind.FSAP3) else 3
+    def inclined_labels(self) -> tuple:
+        """The inclined guides, which carry the detuning (also at angle 0)."""
+        return TOPOLOGY[self.kind].inclined_labels
 
     def _path(self, label: int) -> WaveguidePath:
         if not 1 <= label <= self.n_guides:
@@ -144,11 +167,6 @@ class ArrayLayout:
     def _check_z(self, z: float):
         if not 0.0 <= z <= self.z_end_um:
             raise GeometryError(f"z = {z} outside [0, {self.z_end_um}]")
-
-
-def separation(layout: ArrayLayout, i: int, j: int, z: float) -> float:
-    """Center-to-center distance between guides i and j at position z (um)."""
-    return layout.separation(i, j, z)
 
 
 def _validate(layout: ArrayLayout) -> ArrayLayout:

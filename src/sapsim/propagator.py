@@ -60,7 +60,8 @@ class IntegratorStats:
 class Trajectory:
     """Sampled evolution plus the context needed to rerun it."""
 
-    samples: tuple            # StateVector at strictly increasing z
+    z_um: np.ndarray          # (n_samples,) strictly increasing
+    amplitudes: np.ndarray    # (n_samples, n) complex, one row per z
     stats: IntegratorStats
     layout: ArrayLayout
     model: CouplingModel
@@ -69,16 +70,8 @@ class Trajectory:
 
     @property
     def final(self) -> StateVector:
-        return self.samples[-1]
-
-    @property
-    def z_um(self) -> np.ndarray:
-        return np.array([s.z_um for s in self.samples])
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """(n_samples, n) complex matrix of the sampled amplitudes."""
-        return np.array([s.amplitudes for s in self.samples])
+        return StateVector(self.amplitudes[-1], float(self.z_um[-1]),
+                           self.wavelength_nm)
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ def unit_state(n: int, label: int, lam: float, z_um: float = 0.0) -> StateVector
 
 
 def nominal_input(layout: ArrayLayout, lam: float) -> StateVector:
-    """The launch state: guide 1 for SAP3/FSAP3, central guide for FOLDED5."""
+    """Unit power in the layout's input guide."""
     return unit_state(layout.n_guides, layout.input_label, lam)
 
 
@@ -218,16 +211,13 @@ def propagate(layout: ArrayLayout, model: CouplingModel, lam: float,
     ys[:, -1] = sol.y[:, -1]
     norm0 = np.linalg.norm(a0)
     norms = np.linalg.norm(np.hstack([ys, sol.y]), axis=0)
-    samples = tuple(
-        StateVector(ys[:, i].copy(), zs_mm[i] * UM_PER_MM, lam)
-        for i in range(opts.n_samples)
-    )
     stats = IntegratorStats(
         n_steps=len(sol.t) - 1,
         n_rhs_evals=int(sol.nfev),
         max_norm_drift=float(np.max(np.abs(norms - norm0))),
     )
-    return Trajectory(samples, stats, layout, model, lam, opts)
+    return Trajectory(zs_mm * UM_PER_MM, np.ascontiguousarray(ys.T), stats,
+                      layout, model, lam, opts)
 
 
 def propagate_oracle(layout: ArrayLayout, model: CouplingModel, lam: float,
@@ -264,8 +254,8 @@ def backpropagate_check(trajectory: Trajectory) -> float:
     rhs = _rhs(layout, trajectory.model, lam)
     z_end_mm = layout.z_end_um / UM_PER_MM
     try:
-        sol = dop853.solve(rhs, z_end_mm, 0.0, trajectory.final.amplitudes,
+        sol = dop853.solve(rhs, z_end_mm, 0.0, trajectory.amplitudes[-1],
                            opts.rtol, opts.atol)
     except IntegrationError as exc:
         raise IntegrationError(f"backward propagation failed: {exc}") from None
-    return float(np.linalg.norm(sol.y[:, -1] - trajectory.samples[0].amplitudes))
+    return float(np.linalg.norm(sol.y[:, -1] - trajectory.amplitudes[0]))

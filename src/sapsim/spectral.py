@@ -14,13 +14,10 @@ import numpy as np
 
 from .coupling import CouplingModel
 from .errors import GeometryError
-from .geometry import ArrayLayout, Kind, build_layout
+from .geometry import TOPOLOGY, ArrayLayout, Kind, build_layout
 from .propagator import (PropagationOptions, StateVector, endpoint_options,
                          nominal_input, propagate)
 from .analysis import SplitReport, split_report
-
-# Ideal output phase by device kind; deviations quantify phase flatness.
-_IDEAL_PHASE = {Kind.SAP3: math.pi, Kind.FSAP3: math.pi, Kind.FOLDED5: 0.0}
 
 SCAN_PARAMETERS = ("kappa_ref", "rho", "detuning", "alpha", "separation",
                    "cut_fraction")
@@ -49,7 +46,7 @@ def _wrap(phase: float) -> float:
 def _summarize(kind: Kind, reports) -> SpectralSummary:
     fractions = np.array([r.fractions for r in reports])
     pairs = np.array([r.pair_fractions for r in reports])
-    ideal = _IDEAL_PHASE[kind]
+    ideal = TOPOLOGY[kind].ideal_phase_rad
     phase_dev = max(abs(_wrap(r.phase_rel_rad - ideal)) for r in reports)
     return SpectralSummary(
         mean_fractions=fractions.mean(axis=0),

@@ -21,6 +21,21 @@ KAPPA_REF = 0.7175
 LAM0 = 1550.0
 BAND = (1500.0, 1630.0, 27)
 
+# Documented upper bounds of the count keys: each at least 50x the largest
+# value a shipped config, test or benchmark uses.
+COUNT_BOUNDS = [
+    ("propagation.samples", 100_000),
+    ("sweep.n_points", 10_000),
+    ("farfield.n_points", 1_000_000),
+    ("design.steps_alpha", 1000),
+    ("design.steps_separation", 1000),
+    ("design.steps_half_length", 1000),
+    ("design.steps_ratio", 1000),
+    ("design.band_points", 1000),
+    ("design.refine_iters", 10_000),
+    ("design.budget", 100_000),
+]
+
 TAN_ALPHA = math.tan(math.radians(ANGLE))
 LATERAL_TRAVEL = 2 * HALF_LENGTH * TAN_ALPHA          # 7.854 um
 D_NEAR = SEPARATION / 2 - HALF_LENGTH * TAN_ALPHA     # 7.073 um

@@ -12,6 +12,8 @@ from sapsim import dark_state, eigensystem, hamiltonian_at
 from sapsim.cli import main
 from sapsim.config import layout_from, load_config, model_from
 
+from conftest import COUNT_BOUNDS
+
 FAST = ["--override", "propagation.rtol=1e-8",
         "--override", "propagation.atol=1e-10",
         "--override", "propagation.samples=24"]
@@ -256,6 +258,17 @@ def test_non_finite_coupling_exits_2(tmp_path, command):
     assert proc.stderr.startswith("config error: coupling.kappa_ref:")
 
 
+@pytest.mark.parametrize("override", ["coupling.delta_decay=0.001",
+                                      "coupling.kappa_ref=1e300"])
+def test_darkstate_without_a_dark_state_exits_3(tmp_path, override):
+    # couplings that underflow to zero, or whose norm overflows
+    proc = run_bounded("darkstate", tmp_path, override)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines()[-1].startswith(
+        "numerical failure: dark state undefined:")
+    assert not (tmp_path / "darkstate.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["propagate", "sweep"])
 def test_overflowing_rhs_exits_3(tmp_path, command):
     # finite coupling, but i H a overflows: the step size underflows
@@ -289,8 +302,8 @@ def test_import_does_not_load_the_integrator(tmp_path):
 
 NUMERIC_KEYS = [
     f"{section}.{f.name}"
-    for section, cls in cfgmod._SECTIONS.items() for f in fields(cls)
-    if (section, f.name) not in cfgmod._STRING_KEYS
+    for section, cls in cfgmod.SECTIONS.items() for f in fields(cls)
+    if not f.metadata["domain"].choices
 ]
 
 
@@ -302,6 +315,14 @@ def test_non_finite_override_is_a_config_error(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,bound", COUNT_BOUNDS)
+def test_over_bound_count_is_a_config_error(tmp_path, capsys, key, bound):
+    assert main(["darkstate", "--out", str(tmp_path),
+                 "--override", f"{key}={bound + 1}"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+    assert not any(tmp_path.iterdir())
 
 
 def test_decay_length_sign_checked_at_config_time(tmp_path, capsys):

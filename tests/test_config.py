@@ -1,11 +1,18 @@
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from sapsim import ConfigError, Kind
-from sapsim.config import (DEFAULT_KAPPA_REF, geometry_spec, layout_from,
-                           load_config, model_from, propagation_options)
+from sapsim.config import (DEFAULT_KAPPA_REF, SECTIONS, geometry_spec,
+                           layout_from, load_config, model_from,
+                           propagation_options)
+
+from conftest import COUNT_BOUNDS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 INI_SAMPLE = """
 [geometry]
@@ -103,7 +110,7 @@ class TestParsing:
             load_config(path)
 
     def test_shipped_example_configs_load(self):
-        root = Path(__file__).resolve().parent.parent / "configs"
+        root = ROOT / "configs"
         folded = load_config(root / "folded5.ini")
         assert folded.geometry.kind == "folded5"
         assert folded.propagation.wavelength == 1540.0
@@ -144,6 +151,16 @@ class TestOverridesAndValidation:
     def test_precondition_violations_name_key(self, override, path):
         with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
             load_config(None, [override])
+
+    @pytest.mark.parametrize("path,bound", COUNT_BOUNDS)
+    def test_count_keys_are_bounded(self, path, bound):
+        # loaded, never run
+        section, name = path.split(".")
+        cfg = load_config(None, [f"{path}={bound}"])
+        assert getattr(getattr(cfg, section), name) == bound
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(path)}: .*<= {bound}"):
+            load_config(None, [f"{path}={bound + 1}"])
 
     @pytest.mark.parametrize("wavelength_key", [
         "propagation.wavelength", "farfield.wavelength"])
@@ -189,3 +206,16 @@ class TestBuilders:
         opts = propagation_options(cfg)
         assert opts.n_samples == 64
         assert opts.rtol == 1e-10
+
+
+def test_readme_spells_out_every_key():
+    # the README's configuration bullets, one per section, name every key
+    # of the schema in full
+    text = (ROOT / "README.md").read_text()
+    doc = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    bullets = dict(re.findall(r"^\* `\[(\w+)\]`(.*?)(?=^\* |^$|\Z)", doc,
+                              flags=re.M | re.S))
+    assert list(bullets) == list(SECTIONS)
+    for section, cls in SECTIONS.items():
+        for f in fields(cls):
+            assert f"`{f.name}`" in bullets[section], f"{section}.{f.name}"

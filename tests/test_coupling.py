@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sapsim import (CalibrationError, CouplingModel, build_sap3,
                     calibrate_decay, calibrate_strength, calibrated_model,
-                    kappa, nominal_input, propagate, split_report)
+                    nominal_input, propagate, split_report)
 
 from conftest import (D_NEAR, DELTA0, HALF_LENGTH, LAM0, LATERAL_TRAVEL,
                       SEPARATION, TARGET_RATIO, WIDTH)
@@ -150,7 +150,3 @@ class TestCalibrateStrength:
                                kappa_max=1.0)
         with pytest.raises(CalibrationError):
             calibrate_strength(folded5_ref, base, LAM0, -20.0, resolution=0.5)
-
-
-def test_kappa_function_matches_method():
-    assert kappa(MODEL, 9.0, 1600.0) == MODEL.kappa(9.0, 1600.0)

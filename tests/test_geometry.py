@@ -5,8 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sapsim import (GeometryError, WaveguidePath, build_folded5,
-                    build_fsap3, build_layout, build_sap3, separation)
+from sapsim import (CouplingModel, GeometryError, GeometrySpec, Kind,
+                    WaveguidePath, adiabaticity_margin, build_folded5,
+                    build_fsap3, build_layout, build_sap3, calibrated_model)
+from sapsim.coupling import facet_separations
+from sapsim.propagator import coupling_chain
 
 from conftest import (ANGLE, D_FAR, D_NEAR, HALF_LENGTH, LATERAL_TRAVEL,
                       SEPARATION, TAN_ALPHA, WIDTH)
@@ -136,23 +139,23 @@ class TestFolded5:
 class TestSeparationQueries:
     def test_outer_to_center_constant(self, folded5_ref):
         for z in (0.0, 1234.5, 2 * HALF_LENGTH):
-            assert separation(folded5_ref, 1, 3, z) == pytest.approx(SEPARATION)
+            assert folded5_ref.separation(1, 3, z) == pytest.approx(SEPARATION)
 
     def test_self_separation_zero(self, folded5_ref):
-        assert separation(folded5_ref, 2, 2, 4321.0) == 0.0
+        assert folded5_ref.separation(2, 2, 4321.0) == 0.0
 
     def test_midpoint_half_separation(self, folded5_ref):
-        assert separation(folded5_ref, 2, 3, HALF_LENGTH) == pytest.approx(11.0)
+        assert folded5_ref.separation(2, 3, HALF_LENGTH) == pytest.approx(11.0)
 
     def test_out_of_range_rejected(self, folded5_ref):
         with pytest.raises(GeometryError):
-            separation(folded5_ref, 1, 2, -1.0)
+            folded5_ref.separation(1, 2, -1.0)
         with pytest.raises(GeometryError):
-            separation(folded5_ref, 1, 2, 2 * HALF_LENGTH + 1.0)
+            folded5_ref.separation(1, 2, 2 * HALF_LENGTH + 1.0)
         with pytest.raises(GeometryError):
-            separation(folded5_ref, 0, 2, 0.0)
+            folded5_ref.separation(0, 2, 0.0)
         with pytest.raises(GeometryError):
-            separation(folded5_ref, 1, 6, 0.0)
+            folded5_ref.separation(1, 6, 0.0)
 
 
 class TestInvariantsOnGrid:
@@ -204,3 +207,45 @@ def test_valid_builds_keep_order_and_clearance(half_length, sep, angle, width):
         xs = [lay.position(i, z) for i in range(1, 6)]
         diffs = np.diff(xs)
         assert np.all(diffs >= width - 1e-9)
+
+
+class TestTopology:
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        half_length=st.floats(1000.0, 20000.0),
+        sep=st.floats(15.0, 60.0),
+        angle=st.floats(0.005, 0.06),
+        width=st.floats(2.0, 8.0),
+        cut=st.floats(0.05, 2.0),
+        detuning=st.floats(-0.5, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_the_built_guides(self, kind, half_length, sep,
+                                            angle, width, cut, detuning):
+        travel = half_length * math.tan(math.radians(angle))
+        assume(sep / 2 - travel >= width + 1e-6)
+        layout = build_layout(GeometrySpec(kind, half_length, sep, angle,
+                                           width, cut))
+        sloped = tuple(p.label for p in layout.paths if p.slope != 0.0)
+        assert layout.inclined_labels == sloped
+        model = calibrated_model(layout, 0.15, 1.0, 1550.0,
+                                 detuning=detuning)
+        darks = adiabaticity_margin(layout, model, 1550.0, 16).dark_states
+        assert np.all(darks[:, [label - 1 for label in sloped]] == 0.0)
+        assert np.argmax(np.abs(darks[0])) + 1 == layout.input_label
+        assert layout.output_labels == (1, layout.n_guides)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_straight_layout_keeps_its_inclined_guides(self, kind):
+        # at angle 0 no guide has a slope, yet the inclined guides (2 and 4)
+        # still carry the detuning and define the facet separations
+        layout = build_layout(GeometrySpec(kind, HALF_LENGTH, SEPARATION,
+                                           0.0, WIDTH))
+        assert all(p.slope == 0.0 for p in layout.paths)
+        model = CouplingModel(kappa_ref=0.7, d_ref=11.0, delta_decay=4.14,
+                              lambda0=1550.0, detuning=0.3)
+        _, diagonal = coupling_chain(layout, model, 1550.0)
+        expected = np.zeros(layout.n_guides)
+        expected[1::2] = 0.3
+        assert np.array_equal(diagonal, expected)
+        assert facet_separations(layout) == (11.0, 11.0)

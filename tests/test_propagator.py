@@ -111,9 +111,9 @@ class TestPropagate:
     def test_rabi_profile_along_z(self):
         layout, model = two_guide_reduction(0.5)
         traj = propagate(layout, model, LAM0, unit_state(3, 1, LAM0))
-        for s in traj.samples[:: 64]:
-            expected = math.sin(0.5 * s.z_um / 1000.0) ** 2
-            assert s.powers()[1] == pytest.approx(expected, abs=1e-8)
+        for z, a in zip(traj.z_um[:: 64], traj.amplitudes[:: 64]):
+            expected = math.sin(0.5 * z / 1000.0) ** 2
+            assert abs(a[1]) ** 2 == pytest.approx(expected, abs=1e-8)
 
     def test_zero_coupling_identity(self, folded5_ref):
         model = calibrated_model(folded5_ref, TARGET_RATIO, 0.0, LAM0)
@@ -136,18 +136,20 @@ class TestPropagate:
         opts = PropagationOptions(n_samples=77)
         state = nominal_input(folded5_ref, LAM0)
         traj = propagate(folded5_ref, model_ref, LAM0, state, opts)
-        assert len(traj.samples) == 77
+        assert traj.amplitudes.shape == (77, 5)
         zs = traj.z_um
+        assert zs.shape == (77,)
         assert zs[0] == 0.0
         assert zs[-1] == pytest.approx(folded5_ref.z_end_um)
         assert np.all(np.diff(zs) > 0)
-        assert np.array_equal(traj.samples[0].amplitudes, state.amplitudes)
+        assert np.array_equal(traj.amplitudes[0], state.amplitudes)
+        assert np.array_equal(traj.final.amplitudes, traj.amplitudes[-1])
+        assert traj.final.z_um == zs[-1]
 
     def test_mirror_symmetry_along_z(self, folded5_ref, model_ref):
         traj = propagate(folded5_ref, model_ref, 1600.0,
                          nominal_input(folded5_ref, 1600.0))
-        for s in traj.samples:
-            p = np.abs(s.amplitudes)
+        for p in np.abs(traj.amplitudes):
             assert p[0] == pytest.approx(p[4], abs=1e-9)
             assert p[1] == pytest.approx(p[3], abs=1e-9)
 
