@@ -69,7 +69,8 @@ def _dark_vectors(k: np.ndarray) -> np.ndarray:
             raise ValueError("5-guide matrix lacks the mirror coupling pattern")
         v = np.stack([-k23, zero, k12, zero, -k23], axis=1)
         ref = 2
-    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):    # checked next
+        norm = np.linalg.norm(v, axis=1, keepdims=True)
     if not np.all(np.isfinite(norm)):
         raise ValueError("dark state undefined: coupling norm is not finite")
     v /= norm

@@ -25,7 +25,7 @@ from .design import (ObjectiveConfig, ObjectiveWeights, ParameterBounds,
                      grid_search, refine_local)
 from .errors import CalibrationError, ConfigError, IntegrationError, SapsimError
 from .farfield import classify_fringe, facet_emitters, farfield_pattern
-from .propagator import nominal_input, propagate
+from .propagator import propagate
 from .spectral import sweep_wavelength
 
 
@@ -69,7 +69,8 @@ def _load(cfg):
 def cmd_propagate(cfg, out: Path) -> None:
     layout, opts, model = _load(cfg)
     lam = cfg.propagation.wavelength
-    traj = propagate(layout, model, lam, nominal_input(layout, lam), opts)
+    traj = propagate(layout, model, lam, opts=opts,
+                     n_samples=cfg.propagation.samples)
 
     n = layout.n_guides
     header = ["z_um"] + [f"I_{i}" for i in range(1, n + 1)] \
@@ -122,8 +123,7 @@ def cmd_sweep(cfg, out: Path) -> None:
 def cmd_farfield(cfg, out: Path) -> None:
     layout, opts, model = _load(cfg)
     ff = cfg.farfield
-    traj = propagate(layout, model, ff.wavelength,
-                     nominal_input(layout, ff.wavelength), opts)
+    traj = propagate(layout, model, ff.wavelength, opts=opts)
     amps, pos = facet_emitters(traj.final, layout, ff.include_central_above)
     pattern = farfield_pattern(amps, pos, ff.wavelength, ff.waist,
                                ff.theta_max, ff.n_points)
@@ -142,9 +142,6 @@ def cmd_farfield(cfg, out: Path) -> None:
 
 
 def cmd_darkstate(cfg, out: Path) -> None:
-    if cfg.coupling.kappa_ref == 0:
-        raise ConfigError("coupling.kappa_ref: darkstate needs a positive "
-                          "coupling; with none the dark state is undefined")
     layout, _, model = _load(cfg)
     lam = cfg.propagation.wavelength
     try:
@@ -187,6 +184,9 @@ def cmd_optimize(cfg, out: Path) -> None:
     )
     steps = (d.steps_alpha, d.steps_separation, d.steps_half_length,
              d.steps_ratio)
+    if math.prod(steps) > d.budget:
+        raise ConfigError(f"design.budget: grid of {math.prod(steps)} points "
+                          f"exceeds budget {d.budget}")
     ranked = grid_search(bounds, steps, objective, budget=d.budget)
     best = ranked[0]
     if d.refine_iters > 0 and best.valid:
@@ -230,8 +230,7 @@ def cmd_optimize(cfg, out: Path) -> None:
 def cmd_calibrate(cfg, out: Path) -> None:
     c = replace(cfg.coupling, kappa_ref=cfgmod.AUTO, delta_decay=cfgmod.AUTO)
     layout, opts, model = _load(replace(cfg, coupling=c))
-    traj = propagate(layout, model, c.lambda0,
-                     nominal_input(layout, c.lambda0), opts)
+    traj = propagate(layout, model, c.lambda0, opts=opts)
     report = split_report(traj.final, layout.kind)
     _write_json(out / "calibrate.json", {
         "delta_decay_um": float(model.delta_decay),
@@ -278,6 +277,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = cfgmod.load_config(args.config, args.override)
+        if args.command in ("darkstate", "optimize") \
+                and cfg.coupling.kappa_ref == 0:
+            raise ConfigError(f"coupling.kappa_ref: {args.command} needs a "
+                              "coupling > 0 to define the dark state")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out)

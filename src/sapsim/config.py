@@ -180,6 +180,8 @@ def _parse_value(path: str, raw, spec):
     else:
         target = int if isinstance(spec.default, int) else float
         try:
+            if isinstance(raw, bool):   # a JSON true/false is not a number
+                raise TypeError
             if target is int:
                 value = int(str(raw).strip()) if isinstance(raw, str) else raw
                 if value != int(_finite(path, value)):
@@ -275,6 +277,8 @@ def validate(cfg: RunConfig):
     for name in ("alpha", "separation", "half_length", "ratio"):
         if getattr(d, f"{name}_min") > getattr(d, f"{name}_max"):
             fail(f"design.{name}_min", f"need {name}_min <= {name}_max")
+    if not any((d.w_crosstalk, d.w_imbalance, d.w_length, d.w_adiabaticity)):
+        fail("design.w_crosstalk", "need a positive design.w_* weight")
 
     # delta(lam) = delta_decay * (1 + rho (lam - lambda0) / lambda0) is linear
     # in lam, so positive ends keep every wavelength in between positive
@@ -328,4 +332,4 @@ def model_from(cfg: RunConfig, layout, opts: PropagationOptions = None):
 
 def propagation_options(cfg: RunConfig) -> PropagationOptions:
     p = cfg.propagation
-    return PropagationOptions(rtol=p.rtol, atol=p.atol, n_samples=p.samples)
+    return PropagationOptions(rtol=p.rtol, atol=p.atol)

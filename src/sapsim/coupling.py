@@ -130,7 +130,7 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
     scanned diagnostic curve attached if no grid point passes.
     """
     from .analysis import split_report
-    from .propagator import endpoint_options, nominal_input, propagate
+    from .propagator import propagate
 
     if crosstalk_target_db > 0:
         raise CalibrationError("crosstalk_target_db must be <= 0 dB")
@@ -139,12 +139,11 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
     if resolution <= 0 or resolution > 0.02 + 1e-12:
         raise CalibrationError("grid resolution must be in (0, 0.02]")
 
-    opts = endpoint_options(opts)
     grid, curve = [], []
     k = kappa_min
     while k <= kappa_max * (1 + 1e-12):
         model = replace(base_model, kappa_ref=k)
-        traj = propagate(layout, model, lam0, nominal_input(layout, lam0), opts)
+        traj = propagate(layout, model, lam0, opts=opts)
         report = split_report(traj.final, layout.kind)
         grid.append(k)
         curve.append(report.crosstalk_db)

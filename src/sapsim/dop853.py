@@ -66,6 +66,9 @@ MAX_FACTOR = 10     # largest allowed increase of a step
 ERROR_EXPONENT = -1 / (7 + 1)   # error estimator of order 7
 EPS = np.finfo(float).eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# A trial step that overflows gets a non-finite error norm and is rejected
+# until the step underflows (IntegrationError), so numpy need not warn.
+_TRIAL_ERRSTATE = dict(over="ignore", divide="ignore", invalid="ignore")
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
@@ -388,7 +391,8 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
 
     direction = np.sign(t_bound - t0)
     f = counted(t0, y)
-    h_abs = _initial_step(counted, t0, y, t_bound, f, direction, rtol, atol)
+    with np.errstate(**_TRIAL_ERRSTATE):
+        h_abs = _initial_step(counted, t0, y, t_bound, f, direction, rtol, atol)
     K_extended = np.empty((N_STAGES_EXTENDED, y.size), dtype=y.dtype)
     K = K_extended[:N_STAGES + 1]
 
@@ -400,36 +404,37 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
         if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError(TOO_SMALL_STEP)
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
+        with np.errstate(**_TRIAL_ERRSTATE):
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError(TOO_SMALL_STEP)
+                h = h_abs * direction
+                t_new = t + h
+                if direction * (t_new - t_bound) > 0:
+                    t_new = t_bound
+                h = t_new - t
+                h_abs = np.abs(h)
 
-            K[0] = f
-            _stages(counted, t, y, h, K, _STAGES, 1)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            f_new = counted(t + h, y_new)
-            K[-1] = f_new
+                K[0] = f
+                _stages(counted, t, y, h, K, _STAGES, 1)
+                y_new = y + h * np.dot(K[:-1].T, _B)
+                f_new = counted(t + h, y_new)
+                K[-1] = f_new
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** ERROR_EXPONENT)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-            step_rejected = True
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error_norm = _error_norm(K, h, scale)
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = MAX_FACTOR
+                    else:
+                        factor = min(MAX_FACTOR,
+                                     SAFETY * error_norm ** ERROR_EXPONENT)
+                    if step_rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                step_rejected = True
 
         if dense_output:
             # scipy's DOP853._dense_output_impl, for the step just taken

@@ -8,7 +8,7 @@ internally while the public surface stays in um.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,17 +78,11 @@ class Trajectory:
 class PropagationOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
-    n_samples: int = 512
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
         # a NaN tolerance would leave the step control shrinking forever
         if not (0 < self.rtol < np.inf and 0 <= self.atol < np.inf):
             raise ValueError("need finite tolerances, rtol > 0 and atol >= 0")
-
-
-DEFAULT_OPTIONS = PropagationOptions()
 
 
 def unit_state(n: int, label: int, lam: float, z_um: float = 0.0) -> StateVector:
@@ -169,43 +163,47 @@ def _rhs(layout: ArrayLayout, model: CouplingModel, lam: float):
     return rhs
 
 
-def endpoint_options(opts: PropagationOptions = None) -> PropagationOptions:
-    """``opts`` (or the defaults) asking for the two end samples only.
-
-    For callers that read ``.final`` alone: no dense output is built, and
-    the final state is bit-identical to that of a densely sampled run.
-    """
-    return replace(opts or DEFAULT_OPTIONS, n_samples=2)
-
-
-def propagate(layout: ArrayLayout, model: CouplingModel, lam: float,
-              state: StateVector, opts: PropagationOptions = None) -> Trajectory:
-    """Integrate -i da/dz = H(z) a from z = 0 to the layout end.
-
-    Uses the adaptive embedded Runge-Kutta pair DOP853 (``dop853.solve``,
-    bit-identical to scipy's ``solve_ivp``); the returned trajectory holds
-    ``opts.n_samples`` equally spaced samples, the first at z = 0 and the
-    last at z_end. Dense output is built only when interior samples are
-    asked for (``n_samples > 2``); it does not change the integrator's
-    steps, so the final state is the same either way, but its extra stages
-    count in ``n_rhs_evals``. ``max_norm_drift`` is taken over the
-    integrator's step points and the samples.
-    """
-    opts = opts or DEFAULT_OPTIONS
+def _solve(layout: ArrayLayout, model: CouplingModel, lam: float, a0,
+           opts: PropagationOptions, backward=False, dense=False):
+    """DOP853 (``dop853.solve``, bit-identical to scipy's ``solve_ivp``)
+    over the device, from z_end back to 0 when ``backward``. Raises
+    IntegrationError for a non-finite H or start state or a step underflow."""
     rhs = _rhs(layout, model, lam)
-    a0 = np.asarray(state.amplitudes, dtype=complex)
     if not np.all(np.isfinite(a0)):
         raise IntegrationError(f"non-finite input state at lam = {lam} nm")
     z_end_mm = layout.z_end_um / UM_PER_MM
-    dense = opts.n_samples > 2
+    t0, t1 = (z_end_mm, 0.0) if backward else (0.0, z_end_mm)
     try:
-        sol = dop853.solve(rhs, 0.0, z_end_mm, a0, opts.rtol, opts.atol,
-                           dense_output=dense)
+        return dop853.solve(rhs, t0, t1, a0, opts.rtol, opts.atol,
+                            dense_output=dense)
     except IntegrationError as exc:
-        raise IntegrationError(
-            f"propagation failed at lam = {lam} nm: {exc}") from None
+        what = "backward propagation failed" if backward \
+            else f"propagation failed at lam = {lam} nm"
+        raise IntegrationError(f"{what}: {exc}") from None
 
-    zs_mm = np.linspace(0.0, z_end_mm, opts.n_samples)
+
+def propagate(layout: ArrayLayout, model: CouplingModel, lam: float,
+              state: StateVector = None, opts: PropagationOptions = None,
+              n_samples: int = 2) -> Trajectory:
+    """Integrate -i da/dz = H(z) a from z = 0 to the layout end.
+
+    ``state`` defaults to ``nominal_input(layout, lam)``. The returned
+    trajectory holds ``n_samples`` equally spaced samples, the first at
+    z = 0 and the last at z_end; the default keeps the two ends only. Dense
+    output is built only when interior samples are asked for; it does not
+    change the integrator's steps, so the final state is the same either
+    way, but its extra stages count in ``n_rhs_evals``. ``max_norm_drift``
+    is taken over the integrator's step points and the samples.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    opts = opts or PropagationOptions()
+    state = state if state is not None else nominal_input(layout, lam)
+    a0 = np.asarray(state.amplitudes, dtype=complex)
+    dense = n_samples > 2
+    sol = _solve(layout, model, lam, a0, opts, dense=dense)
+
+    zs_mm = np.linspace(0.0, layout.z_end_um / UM_PER_MM, n_samples)
     ys = sol.sol(zs_mm) if dense else np.empty((a0.size, 2), dtype=complex)
     ys[:, 0] = a0                 # dense output is exact at the knots anyway
     ys[:, -1] = sol.y[:, -1]
@@ -249,13 +247,6 @@ def propagate_oracle(layout: ArrayLayout, model: CouplingModel, lam: float,
 def backpropagate_check(trajectory: Trajectory) -> float:
     """Integrate the final state backward and return the Euclidean distance
     to the original input; small residuals certify the forward solution."""
-    layout, lam = trajectory.layout, trajectory.wavelength_nm
-    opts = trajectory.options
-    rhs = _rhs(layout, trajectory.model, lam)
-    z_end_mm = layout.z_end_um / UM_PER_MM
-    try:
-        sol = dop853.solve(rhs, z_end_mm, 0.0, trajectory.amplitudes[-1],
-                           opts.rtol, opts.atol)
-    except IntegrationError as exc:
-        raise IntegrationError(f"backward propagation failed: {exc}") from None
+    sol = _solve(trajectory.layout, trajectory.model, trajectory.wavelength_nm,
+                 trajectory.amplitudes[-1], trajectory.options, backward=True)
     return float(np.linalg.norm(sol.y[:, -1] - trajectory.amplitudes[0]))

@@ -15,8 +15,7 @@ import numpy as np
 from .coupling import CouplingModel
 from .errors import GeometryError
 from .geometry import TOPOLOGY, ArrayLayout, Kind, build_layout
-from .propagator import (PropagationOptions, StateVector, endpoint_options,
-                         nominal_input, propagate)
+from .propagator import PropagationOptions, propagate
 from .analysis import SplitReport, split_report
 
 SCAN_PARAMETERS = ("kappa_ref", "rho", "detuning", "alpha", "separation",
@@ -69,16 +68,12 @@ def wavelength_grid(lam_min: float, lam_max: float, n_points: int) -> np.ndarray
 
 def sweep_wavelength(layout: ArrayLayout, model: CouplingModel, lam_min: float,
                      lam_max: float, n_points: int,
-                     input_state: StateVector = None,
                      opts: PropagationOptions = None) -> SpectralCurve:
-    """Propagate the input at each grid wavelength and report the splits."""
+    """Propagate the nominal input at each wavelength and report the splits."""
     grid = wavelength_grid(lam_min, lam_max, n_points)
-    opts = endpoint_options(opts)
     reports = []
     for lam in grid:
-        state = input_state if input_state is not None \
-            else nominal_input(layout, lam)
-        traj = propagate(layout, model, lam, state, opts)
+        traj = propagate(layout, model, lam, opts=opts)
         reports.append(split_report(traj.final, layout.kind))
     return SpectralCurve(grid, tuple(reports), _summarize(layout.kind, reports))
 
@@ -105,7 +100,6 @@ def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
     if parameter in ("alpha", "separation", "cut_fraction") and layout.spec is None:
         raise ValueError("layout carries no build parameters to rebuild from")
 
-    opts = endpoint_options(opts)
     entries = []
     for value in values:
         lay, mod = layout, model
@@ -120,7 +114,7 @@ def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
                 key = {"alpha": "angle_deg", "separation": "outer_separation_um",
                        "cut_fraction": "cut_fraction"}[parameter]
                 lay = build_layout(replace(layout.spec, **{key: float(value)}))
-            traj = propagate(lay, mod, lam0, nominal_input(lay, lam0), opts)
+            traj = propagate(lay, mod, lam0, opts=opts)
             entries.append(ScanEntry(float(value),
                                      split_report(traj.final, lay.kind), True))
         except (GeometryError, ValueError) as exc:

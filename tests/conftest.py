@@ -78,4 +78,4 @@ def final_ref(folded5_ref, model_ref):
 
 @pytest.fixture(scope="session")
 def fast_opts():
-    return PropagationOptions(rtol=1e-8, atol=1e-10, n_samples=16)
+    return PropagationOptions(rtol=1e-8, atol=1e-10)

@@ -239,12 +239,12 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "propagate_summary.json").exists()
 
 
-def run_bounded(command, out, override):
+def run_bounded(command, out, *overrides):
     """Run the CLI in a subprocess that must finish within 30 s."""
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "sapsim", command, "--out", str(out),
-         "--override", override],
+         *(arg for item in overrides for arg in ("--override", item))],
         capture_output=True, text=True, timeout=30)
     assert time.monotonic() - start < 30.0
     assert "Traceback" not in proc.stderr
@@ -264,8 +264,9 @@ def test_darkstate_without_a_dark_state_exits_3(tmp_path, override):
     # couplings that underflow to zero, or whose norm overflows
     proc = run_bounded("darkstate", tmp_path, override)
     assert proc.returncode == 3
-    assert proc.stderr.splitlines()[-1].startswith(
-        "numerical failure: dark state undefined:")
+    # one line: numpy's overflow warning on the way is not printed
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: dark state undefined:")
     assert not (tmp_path / "darkstate.csv").exists()
 
 
@@ -274,11 +275,27 @@ def test_overflowing_rhs_exits_3(tmp_path, command):
     # finite coupling, but i H a overflows: the step size underflows
     proc = run_bounded(command, tmp_path, "coupling.kappa_ref=1e300")
     assert proc.returncode == 3
-    # numpy's overflow warnings come first
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("numerical failure:")
-    assert last.endswith("Required step size is less than spacing between "
+    # one line: numpy's overflow warnings on the way are not printed
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure:")
+    assert line.endswith("Required step size is less than spacing between "
                          "numbers.")
+
+
+@pytest.mark.parametrize("key,overrides", [
+    ("design.budget", ["design.budget=1"]),
+    ("design.w_", [f"design.w_{name}=0" for name in
+                   ("crosstalk", "imbalance", "length", "adiabaticity")]),
+    ("coupling.kappa_ref", ["coupling.kappa_ref=0", "design.steps_alpha=1",
+                            "design.steps_separation=1",
+                            "design.steps_half_length=1"]),
+])
+def test_optimize_config_faults_exit_2(tmp_path, key, overrides):
+    proc = run_bounded("optimize", tmp_path, *overrides)
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"config error: {key}")
+    assert not any(tmp_path.iterdir())
 
 
 def test_import_does_not_load_the_integrator(tmp_path):

@@ -1,13 +1,17 @@
+import inspect
 import json
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
-from sapsim import ConfigError, Kind
-from sapsim.config import (DEFAULT_KAPPA_REF, SECTIONS, geometry_spec,
-                           layout_from, load_config, model_from,
+from sapsim import (ConfigError, CouplingModel, Kind, ObjectiveConfig,
+                    ObjectiveWeights, ParameterBounds, PropagationOptions,
+                    calibrate_strength, facet_emitters, farfield_pattern,
+                    grid_search)
+from sapsim.config import (DEFAULT_KAPPA_REF, SECTIONS, RunConfig,
+                           geometry_spec, layout_from, load_config, model_from,
                            propagation_options)
 
 from conftest import COUNT_BOUNDS
@@ -97,6 +101,19 @@ class TestParsing:
         path.write_text(json.dumps({section: {key: value}}))  # NaN, Infinity
         with pytest.raises(ConfigError,
                            match=rf"{section}\.{key}: must be a finite number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("farfield", "include_central_above", False),
+    ] + [(section, f.name, True) for section, cls in SECTIONS.items()
+         for f in fields(cls) if not f.metadata["domain"].choices])
+    def test_json_booleans_are_not_numbers(self, tmp_path, section, key,
+                                           value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError,
+                           match=rf"^{section}\.{key}: expected .*, got "
+                                 rf"{value}$"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -202,10 +219,10 @@ class TestBuilders:
         assert model.kappa_ref == 0.3   # any coupling meets a 0 dB target
 
     def test_propagation_options(self):
-        cfg = load_config(None, ["propagation.samples=64"])
+        cfg = load_config(None, ["propagation.rtol=1e-9",
+                                 "propagation.samples=64"])
         opts = propagation_options(cfg)
-        assert opts.n_samples == 64
-        assert opts.rtol == 1e-10
+        assert (opts.rtol, opts.atol) == (1e-9, 1e-12)
 
 
 def test_readme_spells_out_every_key():
@@ -219,3 +236,56 @@ def test_readme_spells_out_every_key():
     for section, cls in SECTIONS.items():
         for f in fields(cls):
             assert f"`{f.name}`" in bullets[section], f"{section}.{f.name}"
+
+
+def library_default(owner, name):
+    """The default of dataclass field or keyword parameter ``name``."""
+    if is_dataclass(owner):
+        f = {f.name: f for f in fields(owner)}[name]
+        return f.default_factory() if f.default is MISSING else f.default
+    return inspect.signature(owner).parameters[name].default
+
+
+# (config key, library owner, field or parameter, index into a tuple default)
+MIRRORED_DEFAULTS = [
+    ("propagation.rtol", PropagationOptions, "rtol", None),
+    ("propagation.atol", PropagationOptions, "atol", None),
+    ("farfield.waist", farfield_pattern, "mode_waist_um", None),
+    ("farfield.theta_max", farfield_pattern, "theta_max_rad", None),
+    ("farfield.n_points", farfield_pattern, "n_points", None),
+    ("farfield.include_central_above", facet_emitters,
+     "include_central_above", None),
+    ("coupling.rho", CouplingModel, "rho", None),
+    ("coupling.detuning", CouplingModel, "detuning", None),
+    ("coupling.kappa_min", calibrate_strength, "kappa_min", None),
+    ("coupling.kappa_max", calibrate_strength, "kappa_max", None),
+    ("coupling.resolution", calibrate_strength, "resolution", None),
+    ("design.w_crosstalk", ObjectiveWeights, "crosstalk", None),
+    ("design.w_imbalance", ObjectiveWeights, "imbalance", None),
+    ("design.w_length", ObjectiveWeights, "length", None),
+    ("design.w_adiabaticity", ObjectiveWeights, "adiabaticity", None),
+    ("design.alpha_min", ParameterBounds, "alpha_deg", 0),
+    ("design.alpha_max", ParameterBounds, "alpha_deg", 1),
+    ("design.separation_min", ParameterBounds, "separation_um", 0),
+    ("design.separation_max", ParameterBounds, "separation_um", 1),
+    ("design.half_length_min", ParameterBounds, "half_length_um", 0),
+    ("design.half_length_max", ParameterBounds, "half_length_um", 1),
+    ("design.ratio_min", ParameterBounds, "target_ratio", 0),
+    ("design.ratio_max", ParameterBounds, "target_ratio", 1),
+    ("design.band_points", ObjectiveConfig, "n_points", None),
+    ("design.requirement_db", ObjectiveConfig, "crosstalk_requirement_db",
+     None),
+    ("design.budget", grid_search, "budget", None),
+    # DEFAULT_KAPPA_REF, the shipped operating point
+    ("coupling.kappa_ref", ObjectiveConfig, "kappa_ref", None),
+]
+
+
+@pytest.mark.parametrize("path,owner,name,index", MIRRORED_DEFAULTS)
+def test_config_default_matches_library_default(path, owner, name, index):
+    # the CLI and the library must not drift apart without notice
+    section, key = path.split(".")
+    expected = library_default(owner, name)
+    if index is not None:
+        expected = expected[index]
+    assert getattr(getattr(RunConfig(), section), key) == expected

@@ -14,7 +14,7 @@ def cheap():
     """Coarse but honest objective: 3-point band, light integrator."""
     return ObjectiveConfig(
         n_points=3, margin_samples=101,
-        options=PropagationOptions(rtol=1e-8, atol=1e-10, n_samples=16))
+        options=PropagationOptions(rtol=1e-8, atol=1e-10))
 
 
 @pytest.fixture(scope="module")

@@ -90,3 +90,25 @@ def test_outputs_match_recorded_sha256(tmp_path, config, command):
     expected = {name: digest for name, digest in GOLDEN[config].items()
                 if name.startswith(command)}
     assert written == expected
+
+
+# optimize on a 1 x 2 x 2 grid of the default bounds: two valid candidates,
+# two that fail the geometry check, default tolerances.
+OPTIMIZE_OVERRIDES = ("design.steps_alpha=1", "design.steps_separation=2",
+                      "design.steps_half_length=2")
+OPTIMIZE_GOLDEN = {
+    "optimize.csv":
+        "bb121a4571006c3723b4119927e056c117c32e39ddd1c2e3b33303b812344f92",
+    "optimize_best.json":
+        "b118e620eefd158af18c73d6ae5417405c2c5a139696e81053a1d0f7d5f92518",
+}
+
+
+def test_optimize_outputs_match_recorded_sha256(tmp_path):
+    argv = ["optimize", "--out", str(tmp_path)]
+    for item in OPTIMIZE_OVERRIDES:
+        argv += ["--override", item]
+    assert main(argv) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == OPTIMIZE_GOLDEN

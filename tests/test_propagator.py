@@ -110,7 +110,8 @@ class TestPropagate:
 
     def test_rabi_profile_along_z(self):
         layout, model = two_guide_reduction(0.5)
-        traj = propagate(layout, model, LAM0, unit_state(3, 1, LAM0))
+        traj = propagate(layout, model, LAM0, unit_state(3, 1, LAM0),
+                         n_samples=512)
         for z, a in zip(traj.z_um[:: 64], traj.amplitudes[:: 64]):
             expected = math.sin(0.5 * z / 1000.0) ** 2
             assert abs(a[1]) ** 2 == pytest.approx(expected, abs=1e-8)
@@ -128,14 +129,12 @@ class TestPropagate:
         assert powers[2] < 0.02
 
     def test_unitarity(self, folded5_ref, model_ref):
-        traj = propagate(folded5_ref, model_ref, 1540.0,
-                         nominal_input(folded5_ref, 1540.0))
+        traj = propagate(folded5_ref, model_ref, 1540.0, n_samples=512)
         assert traj.stats.max_norm_drift <= 1e-9
 
     def test_sampling_contract(self, folded5_ref, model_ref):
-        opts = PropagationOptions(n_samples=77)
         state = nominal_input(folded5_ref, LAM0)
-        traj = propagate(folded5_ref, model_ref, LAM0, state, opts)
+        traj = propagate(folded5_ref, model_ref, LAM0, state, n_samples=77)
         assert traj.amplitudes.shape == (77, 5)
         zs = traj.z_um
         assert zs.shape == (77,)
@@ -147,8 +146,7 @@ class TestPropagate:
         assert traj.final.z_um == zs[-1]
 
     def test_mirror_symmetry_along_z(self, folded5_ref, model_ref):
-        traj = propagate(folded5_ref, model_ref, 1600.0,
-                         nominal_input(folded5_ref, 1600.0))
+        traj = propagate(folded5_ref, model_ref, 1600.0, n_samples=512)
         for p in np.abs(traj.amplitudes):
             assert p[0] == pytest.approx(p[4], abs=1e-9)
             assert p[1] == pytest.approx(p[3], abs=1e-9)
@@ -175,9 +173,8 @@ class TestPropagate:
                                  detuning=0.2)
         for lam in (1500.0, 1565.0, 1630.0):
             state = nominal_input(layout, lam)
-            dense = propagate(layout, model, lam, state)
-            ends = propagate(layout, model, lam, state,
-                             PropagationOptions(n_samples=2))
+            dense = propagate(layout, model, lam, state, n_samples=512)
+            ends = propagate(layout, model, lam, state)
             assert np.array_equal(ends.final.amplitudes,
                                   dense.final.amplitudes)
             assert list(ends.z_um) == [0.0, dense.z_um[-1]]
@@ -199,11 +196,25 @@ class TestPropagate:
 
     @pytest.mark.parametrize("kwargs", [
         dict(rtol=math.nan), dict(atol=math.nan), dict(rtol=math.inf),
-        dict(rtol=0.0), dict(atol=-1e-12), dict(n_samples=1)])
+        dict(rtol=0.0), dict(atol=-1e-12)])
     def test_invalid_options_rejected(self, kwargs):
         # a NaN tolerance would otherwise shrink the step forever
         with pytest.raises(ValueError):
             PropagationOptions(**kwargs)
+
+    def test_fewer_than_two_samples_rejected(self, folded5_ref, model_ref):
+        with pytest.raises(ValueError, match="n_samples"):
+            propagate(folded5_ref, model_ref, LAM0, n_samples=1)
+
+    def test_defaults_are_nominal_input_and_two_samples(self, folded5_ref,
+                                                        model_ref):
+        traj = propagate(folded5_ref, model_ref, LAM0)
+        explicit = propagate(folded5_ref, model_ref, LAM0,
+                             nominal_input(folded5_ref, LAM0),
+                             PropagationOptions(), n_samples=2)
+        assert list(traj.z_um) == [0.0, folded5_ref.z_end_um]
+        assert np.array_equal(traj.amplitudes, explicit.amplitudes)
+        assert traj.stats == explicit.stats
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_integration_failure_reported(self, folded5_ref):
