@@ -10,7 +10,7 @@ from .coupling import (CouplingModel, calibrate_decay, calibrate_strength,
 from .propagator import (Hamiltonian, IntegratorStats, PropagationOptions,
                          StateVector, Trajectory, backpropagate_check,
                          hamiltonian_at, nominal_input, propagate,
-                         propagate_oracle, unit_state)
+                         propagate_batch, propagate_oracle, unit_state)
 from .analysis import (AdiabaticityProfile, EigenSystem, SplitReport,
                        adiabaticity_margin, dark_state, eigensystem,
                        loss_corrected_transfer, split_report)

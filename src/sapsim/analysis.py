@@ -51,7 +51,8 @@ def _dark_vectors(k: np.ndarray) -> np.ndarray:
 
     Raises ValueError unless n is 3 or 5, when both couplings vanish at a
     sample, when a 5-guide sample lacks the mirror pattern
-    k34 = k23, k45 = k12 (to 1e-9 relative), or when a norm overflows.
+    k34 = k23, k45 = k12 (to 1e-9 relative), or when a squared norm is not
+    a normal float (it overflows or underflows).
     """
     n = k.shape[-1] + 1
     if n not in (3, 5):
@@ -69,10 +70,15 @@ def _dark_vectors(k: np.ndarray) -> np.ndarray:
             raise ValueError("5-guide matrix lacks the mirror coupling pattern")
         v = np.stack([-k23, zero, k12, zero, -k23], axis=1)
         ref = 2
-    with np.errstate(over="ignore"):    # checked next
+    with np.errstate(over="ignore", under="ignore"):    # checked next
         norm = np.linalg.norm(v, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norm)):
-        raise ValueError("dark state undefined: coupling norm is not finite")
+        # the squared norm must be a normal float: couplings below about
+        # 1e-154 have squares that underflow, and their norm is zero,
+        # subnormal or inexact
+        normal = np.isfinite(norm) & (norm * norm >= np.finfo(float).tiny)
+    if not np.all(normal):
+        raise ValueError("dark state undefined: coupling norm is not a "
+                         "normal float")
     v /= norm
     return np.where(v[:, ref:ref + 1] < 0, -v, v)
 

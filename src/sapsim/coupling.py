@@ -19,8 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, IntegrationError
 from .geometry import ArrayLayout
+
+# Grid points of calibrate_strength propagated per batch. The default
+# search finds its point near the 59th, in the second chunk.
+CALIBRATION_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -125,12 +129,14 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
 
     The grid ascends from kappa_min by factors of (1 + resolution).
     Crosstalk is not monotone in kappa_ref (facet-mismatch interference), so
-    the scan stops at the first passing grid point, i.e. the smallest point
-    of the first contiguous passing run. Raises CalibrationError with the
-    scanned diagnostic curve attached if no grid point passes.
+    the answer is the first passing grid point, i.e. the smallest point of
+    the first contiguous passing run. The grid is scanned in chunks of
+    CALIBRATION_CHUNK points, each propagated as one batch, and the scan
+    stops after the first chunk that holds a pass. Raises CalibrationError
+    with the scanned diagnostic curve attached if no grid point passes.
     """
     from .analysis import split_report
-    from .propagator import propagate
+    from .propagator import propagate_batch
 
     if crosstalk_target_db > 0:
         raise CalibrationError("crosstalk_target_db must be <= 0 dB")
@@ -142,14 +148,24 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
     grid, curve = [], []
     k = kappa_min
     while k <= kappa_max * (1 + 1e-12):
-        model = replace(base_model, kappa_ref=k)
-        traj = propagate(layout, model, lam0, opts=opts)
-        report = split_report(traj.final, layout.kind)
-        grid.append(k)
-        curve.append(report.crosstalk_db)
-        if report.crosstalk_db <= crosstalk_target_db:
-            return k
-        k *= 1.0 + resolution
+        chunk = []
+        while len(chunk) < CALIBRATION_CHUNK and k <= kappa_max * (1 + 1e-12):
+            chunk.append(k)
+            k *= 1.0 + resolution
+        models = [replace(base_model, kappa_ref=kc) for kc in chunk]
+        try:
+            finals = propagate_batch([layout] * len(chunk), models,
+                                     [lam0] * len(chunk), opts)
+        except IntegrationError:
+            # the failing point may lie past the first pass, where the scan
+            # stops: rescan the chunk one point at a time, up to the pass
+            finals = (propagate_batch([layout], [model], [lam0], opts)[0]
+                      for model in models)
+        for kc, final in zip(chunk, finals):
+            grid.append(kc)
+            curve.append(split_report(final, layout.kind).crosstalk_db)
+            if curve[-1] <= crosstalk_target_db:
+                return kc
 
     raise CalibrationError(
         f"no kappa_ref in [{kappa_min}, {kappa_max}] 1/mm reaches "

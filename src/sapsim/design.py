@@ -16,10 +16,10 @@ import numpy as np
 
 from .analysis import adiabaticity_margin
 from .coupling import calibrated_model
-from .errors import GeometryError
+from .errors import GeometryError, IntegrationError
 from .geometry import GeometrySpec, Kind, build_layout
 from .propagator import PropagationOptions
-from .spectral import sweep_wavelength
+from .spectral import sweep_designs
 
 _RANK_SCALE = {"crosstalk_db_per_10": 10.0, "length_cm": 1e4}
 # Scores this close (relative) are one score when ranking. Designs with the
@@ -113,28 +113,49 @@ def _score(objectives: Objectives, config: ObjectiveConfig) -> float:
 def evaluate_candidate(params: CandidateParams,
                        config: ObjectiveConfig) -> DesignCandidate:
     """Build, calibrate, sweep the band and score one parameter point."""
-    try:
-        spec = GeometrySpec(Kind.FOLDED5, params.half_length_um,
-                            params.separation_um, params.alpha_deg,
-                            config.width_um)
-        layout = build_layout(spec)
-        model = calibrated_model(layout, params.target_ratio, config.kappa_ref,
-                                 config.lambda0, config.rho, config.detuning)
-    except (GeometryError, ValueError) as exc:
-        return DesignCandidate(params, None, math.inf, False, str(exc))
+    return _evaluate([params], config)[0]
 
-    curve = sweep_wavelength(layout, model, config.lam_min, config.lam_max,
-                             config.n_points, opts=config.options)
-    imbalance = max(abs(r.fractions[0] - 0.5) for r in curve.reports)
-    margin = adiabaticity_margin(layout, model, config.lambda0,
-                                 config.margin_samples).max_value
-    objectives = Objectives(
-        worst_crosstalk_db=curve.summary.worst_crosstalk_db,
-        band_imbalance=imbalance,
-        device_length_um=layout.z_end_um,
-        max_adiabaticity=margin,
-    )
-    return DesignCandidate(params, objectives, _score(objectives, config), True)
+
+def _evaluate(points, config: ObjectiveConfig) -> list:
+    """Score each parameter point; the band sweeps of all valid points run
+    as one batched propagation."""
+    candidates, valid = [], []
+    for params in points:
+        try:
+            spec = GeometrySpec(Kind.FOLDED5, params.half_length_um,
+                                params.separation_um, params.alpha_deg,
+                                config.width_um)
+            layout = build_layout(spec)
+            model = calibrated_model(layout, params.target_ratio,
+                                     config.kappa_ref, config.lambda0,
+                                     config.rho, config.detuning)
+            valid.append((len(candidates), layout, model))
+            candidates.append(None)
+        except (GeometryError, ValueError) as exc:
+            candidates.append(DesignCandidate(params, None, math.inf, False,
+                                              str(exc)))
+
+    curves = sweep_designs([lay for _, lay, _ in valid],
+                           [mod for _, _, mod in valid], config.lam_min,
+                           config.lam_max, config.n_points, config.options)
+    for (i, layout, model), curve in zip(valid, curves):
+        imbalance = max(abs(r.fractions[0] - 0.5) for r in curve.reports)
+        try:
+            margin = adiabaticity_margin(layout, model, config.lambda0,
+                                         config.margin_samples).max_value
+        except ValueError as exc:
+            # couplings that underflow to zero or whose norm is not normal
+            raise IntegrationError(f"{exc} at lam = {config.lambda0} nm") \
+                from None
+        objectives = Objectives(
+            worst_crosstalk_db=curve.summary.worst_crosstalk_db,
+            band_imbalance=imbalance,
+            device_length_um=layout.z_end_um,
+            max_adiabaticity=margin,
+        )
+        candidates[i] = DesignCandidate(points[i], objectives,
+                                        _score(objectives, config), True)
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -173,7 +194,8 @@ def _rank_key(cand: DesignCandidate):
 
 def grid_search(bounds: ParameterBounds, steps, config: ObjectiveConfig,
                 budget: int = 2000) -> list:
-    """Exhaustive evaluation over the Cartesian grid, ranked by score with
+    """Exhaustive evaluation over the Cartesian grid (every valid point's
+    band sweep in one batched propagation), ranked by score with
     ties broken by shorter device, then lexicographic parameters. Scores
     within SCORE_TIE_RTOL of each other are ties and are reported as equal.
 
@@ -190,15 +212,10 @@ def grid_search(bounds: ParameterBounds, steps, config: ObjectiveConfig,
     if total > budget:
         raise ValueError(f"grid of {total} points exceeds budget {budget}")
 
-    candidates = []
-    for a in axes[0]:
-        for s in axes[1]:
-            for L in axes[2]:
-                for r in axes[3]:
-                    candidates.append(evaluate_candidate(
-                        CandidateParams(float(a), float(s), float(L), float(r)),
-                        config))
-    return sorted(_merge_ties(candidates), key=_rank_key)
+    points = [CandidateParams(float(a), float(s), float(L), float(r))
+              for a in axes[0] for s in axes[1] for L in axes[2]
+              for r in axes[3]]
+    return sorted(_merge_ties(_evaluate(points, config)), key=_rank_key)
 
 
 def refine_local(start: DesignCandidate, config: ObjectiveConfig,

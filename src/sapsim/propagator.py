@@ -18,6 +18,9 @@ from .errors import IntegrationError
 from .geometry import ArrayLayout
 
 UM_PER_MM = 1000.0
+# Members per batched solve; bounds the memory of the stage arrays
+# (16 x 4096 x n complex values) whatever the size of a sweep or grid.
+BATCH_SIZE = 4096
 # Oracle slices decomposed per batched eigh call; bounds its memory.
 _ORACLE_BATCH = 4096
 
@@ -97,23 +100,41 @@ def nominal_input(layout: ArrayLayout, lam: float) -> StateVector:
     return unit_state(layout.n_guides, layout.input_label, lam)
 
 
-def coupling_chain(layout: ArrayLayout, model: CouplingModel, lam: float):
-    """The entries of H at wavelength lam (nm): ``(couplings, diagonal)``.
+def coupling_chain(layout, model, lam):
+    """The entries of H: ``(couplings, diagonal)``.
+
+    For one system pass a layout, a model and a wavelength (nm). For a batch
+    of B systems pass three sequences of length B, one item per member; the
+    layouts must share one guide count n. Every per-member quantity below
+    (dx0, dslope, delta(lam), kappa_ref, d_ref and the diagonal) then
+    carries a leading member axis.
 
     ``couplings(z_um)`` returns the n-1 nearest-neighbor rates (1/mm)
 
-        k_i(z) = kappa_ref * exp(-(|dx0_i + dslope_i * z| - d_ref) / delta(lam))
+        k_i(z) = kappa_ref * exp(-(|dx0_i + dslope_i * z| - d_ref) / delta(lam)).
 
-    for a scalar z or an array of shape (..., 1); the result has shape
-    (n-1,) or (..., n-1). ``diagonal`` (n,) holds the detuning on the
-    inclined guides and zero elsewhere.
+    For one system z is a scalar or an array of shape (..., 1), and the
+    result has shape (n-1,) or (..., n-1); for a batch z is a scalar or a
+    (B, 1) array of per-member positions, and the result is (B, n-1).
+    ``diagonal``, (n,) or (B, n), holds the detuning on the inclined guides
+    and zero elsewhere.
     """
-    dx0 = np.diff([p.x0 for p in layout.paths])
-    dslope = np.diff([p.slope for p in layout.paths])
-    delta_lam = model.decay_length(lam)
-    kref, dref = model.kappa_ref, model.d_ref
-    diagonal = np.zeros(layout.n_guides)
-    diagonal[[label - 1 for label in layout.inclined_labels]] = model.detuning
+    batch = not isinstance(layout, ArrayLayout)
+    members = list(zip(layout, model, lam)) if batch else [(layout, model, lam)]
+    if len({lay.n_guides for lay, _, _ in members}) > 1:
+        raise ValueError("a batch needs one guide count")
+    dx0 = np.array([np.diff([p.x0 for p in lay.paths]) for lay, _, _ in members])
+    dslope = np.array([np.diff([p.slope for p in lay.paths])
+                       for lay, _, _ in members])
+    delta_lam, kref, dref = np.array(
+        [[[mod.decay_length(lam_)], [mod.kappa_ref], [mod.d_ref]]
+         for _, mod, lam_ in members]).transpose(1, 0, 2)
+    diagonal = np.zeros(dx0.shape[:1] + (dx0.shape[1] + 1,))
+    for row, (lay, mod, _) in zip(diagonal, members):
+        row[[label - 1 for label in lay.inclined_labels]] = mod.detuning
+    if not batch:
+        dx0, dslope, diagonal = dx0[0], dslope[0], diagonal[0]
+        delta_lam, kref, dref = delta_lam[0, 0], kref[0, 0], dref[0, 0]
 
     def couplings(z_um):
         return kref * np.exp((dref - np.abs(dx0 + dslope * z_um)) / delta_lam)
@@ -161,6 +182,60 @@ def _rhs(layout: ArrayLayout, model: CouplingModel, lam: float):
         return 1j * out
 
     return rhs
+
+
+def _batch_rhs(layouts, models, lams):
+    """The batch's da/du = i z_end H(u z_end) a in the unit span u = z/z_end
+    of each member, so that members of any length step together.
+
+    Raises IntegrationError when some member's H is not finite at either
+    end (see _rhs).
+    """
+    couplings, diagonal = coupling_chain(layouts, models, lams)
+    z_end_um = np.array([[lay.z_end_um] for lay in layouts])
+    ends = np.hstack([couplings(0.0), couplings(z_end_um), diagonal])
+    if not np.all(np.isfinite(ends)):
+        raise IntegrationError("non-finite Hamiltonian in the batch")
+    gain = 1j * z_end_um / UM_PER_MM
+
+    def rhs(u, a):
+        k = couplings(u * z_end_um)
+        out = diagonal * a
+        out[:, :-1] += k * a[:, 1:]
+        out[:, 1:] += k * a[:, :-1]
+        return gain * out
+
+    return rhs
+
+
+def propagate_batch(layouts, models, lams, opts: PropagationOptions = None) -> list:
+    """Final states of the nominal input for a batch of systems.
+
+    Member b is (layouts[b], models[b], lams[b]); all layouts share one
+    guide count. Members are integrated together by one batched DOP853
+    solve per BATCH_SIZE of them (see ``dop853``), which agrees with
+    ``propagate`` member by member to roundoff at the tolerance level.
+    When a batch fails, its members are propagated one at a time, so the
+    first failing member raises the IntegrationError ``propagate`` would.
+    """
+    opts = opts or PropagationOptions()
+    layouts, models, lams = list(layouts), list(models), [float(v) for v in lams]
+    finals = []
+    for first in range(0, len(lams), BATCH_SIZE):
+        chunk = slice(first, first + BATCH_SIZE)
+        batch = layouts[chunk], models[chunk], lams[chunk]
+        try:
+            rhs = _batch_rhs(*batch)
+            a0 = np.array([nominal_input(lay, lam).amplitudes
+                           for lay, lam in zip(batch[0], batch[2])])
+            sol = dop853.solve(rhs, 0.0, 1.0, a0, opts.rtol, opts.atol,
+                               batched=True)
+            finals.extend(sol.y[:, :, -1])
+        except IntegrationError:
+            finals.extend(propagate(*member, opts=opts).amplitudes[-1]
+                          for member in zip(*batch))
+    return [StateVector(a, lay.z_end_um, lam)
+            for a, lay, lam in zip(finals, layouts, lams)]
 
 
 def _solve(layout: ArrayLayout, model: CouplingModel, lam: float, a0,

@@ -1,8 +1,10 @@
 """Wavelength sweeps and single-parameter robustness scans.
 
-Sweeps are embarrassingly parallel over wavelength but evaluated
-sequentially here so results are deterministic and order-independent by
-construction.
+Every grid point of a sweep or scan is one member of a batched
+propagation (``propagate_batch``): the points are integrated together,
+one DOP853 solve per batch, each with its own error norm. Results are
+deterministic; they agree with one ``propagate`` per point to roundoff
+at the integrator tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .coupling import CouplingModel
 from .errors import GeometryError
 from .geometry import TOPOLOGY, ArrayLayout, Kind, build_layout
-from .propagator import PropagationOptions, propagate
+from .propagator import PropagationOptions, propagate_batch
 from .analysis import SplitReport, split_report
 
 SCAN_PARAMETERS = ("kappa_ref", "rho", "detuning", "alpha", "separation",
@@ -70,12 +72,24 @@ def sweep_wavelength(layout: ArrayLayout, model: CouplingModel, lam_min: float,
                      lam_max: float, n_points: int,
                      opts: PropagationOptions = None) -> SpectralCurve:
     """Propagate the nominal input at each wavelength and report the splits."""
+    return sweep_designs([layout], [model], lam_min, lam_max, n_points, opts)[0]
+
+
+def sweep_designs(layouts, models, lam_min: float, lam_max: float,
+                  n_points: int, opts: PropagationOptions = None) -> list:
+    """One SpectralCurve per (layout, model) pair over the same grid, with
+    all (design, wavelength) points propagated as one batch."""
     grid = wavelength_grid(lam_min, lam_max, n_points)
-    reports = []
-    for lam in grid:
-        traj = propagate(layout, model, lam, opts=opts)
-        reports.append(split_report(traj.final, layout.kind))
-    return SpectralCurve(grid, tuple(reports), _summarize(layout.kind, reports))
+    finals = propagate_batch([lay for lay in layouts for _ in grid],
+                             [mod for mod in models for _ in grid],
+                             np.tile(grid, len(layouts)), opts)
+    curves = []
+    for i, layout in enumerate(layouts):
+        reports = [split_report(final, layout.kind)
+                   for final in finals[i * n_points:(i + 1) * n_points]]
+        curves.append(SpectralCurve(grid, tuple(reports),
+                                    _summarize(layout.kind, reports)))
+    return curves
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +103,8 @@ class ScanEntry:
 def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
                     values, lam0: float,
                     opts: PropagationOptions = None) -> list:
-    """One propagation per parameter value with everything else fixed.
+    """The split at lam0 for each parameter value, everything else fixed;
+    all valid values are propagated as one batch.
 
     ``parameter`` is one of kappa_ref / rho / detuning (model knobs) or
     alpha / separation / cut_fraction (geometry rebuilds from the layout's
@@ -100,23 +115,23 @@ def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
     if parameter in ("alpha", "separation", "cut_fraction") and layout.spec is None:
         raise ValueError("layout carries no build parameters to rebuild from")
 
-    entries = []
-    for value in values:
+    key = {"alpha": "angle_deg", "separation": "outer_separation_um",
+           "cut_fraction": "cut_fraction"}.get(parameter)
+    notes, members = {}, {}
+    for i, value in enumerate(values):
         lay, mod = layout, model
         try:
-            if parameter == "kappa_ref":
-                mod = replace(model, kappa_ref=float(value))
-            elif parameter == "rho":
-                mod = replace(model, rho=float(value))
-            elif parameter == "detuning":
-                mod = replace(model, detuning=float(value))
+            if key is None:
+                mod = replace(model, **{parameter: float(value)})
             else:
-                key = {"alpha": "angle_deg", "separation": "outer_separation_um",
-                       "cut_fraction": "cut_fraction"}[parameter]
                 lay = build_layout(replace(layout.spec, **{key: float(value)}))
-            traj = propagate(lay, mod, lam0, opts=opts)
-            entries.append(ScanEntry(float(value),
-                                     split_report(traj.final, lay.kind), True))
+            mod.decay_length(lam0)     # fail here rather than in the batch
+            members[i] = (lay, mod)
         except (GeometryError, ValueError) as exc:
-            entries.append(ScanEntry(float(value), None, False, str(exc)))
-    return entries
+            notes[i] = str(exc)
+    lays, mods = zip(*members.values()) if members else ((), ())
+    finals = dict(zip(members, propagate_batch(lays, mods,
+                                               [lam0] * len(members), opts)))
+    return [ScanEntry(float(value), split_report(finals[i], layout.kind), True)
+            if i in finals else ScanEntry(float(value), None, False, notes[i])
+            for i, value in enumerate(values)]

@@ -36,6 +36,13 @@ COUNT_BOUNDS = [
     ("design.budget", 100_000),
 ]
 
+# Batched propagation (propagate_batch) and one propagate per system agree
+# on final amplitudes to within this at the default tolerances. Measured
+# max |da|: 7.8e-12 over the 27-point folded5 sweep, 9.8e-12 over the 666
+# (candidate, wavelength) systems of the default design grid, 3.3e-11 over
+# 60 randomly drawn sap3/fsap3/folded5 devices with detuning.
+BATCH_DA = 1e-10
+
 TAN_ALPHA = math.tan(math.radians(ANGLE))
 LATERAL_TRAVEL = 2 * HALF_LENGTH * TAN_ALPHA          # 7.854 um
 D_NEAR = SEPARATION / 2 - HALF_LENGTH * TAN_ALPHA     # 7.073 um

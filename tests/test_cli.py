@@ -282,6 +282,30 @@ def test_overflowing_rhs_exits_3(tmp_path, command):
                          "numbers.")
 
 
+def test_step_budget_ends_a_fast_detuning(tmp_path):
+    # a detuning of 1e5 /mm would take millions of steps (hours); the
+    # step budget ends it in seconds
+    start = time.monotonic()
+    proc = run_bounded("propagate", tmp_path, "coupling.detuning=1e5")
+    assert time.monotonic() - start < 10.0
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: propagation failed at lam = ")
+    assert "step budget" in line
+    assert not (tmp_path / "propagate.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["darkstate", "optimize"])
+def test_subnormal_couplings_exit_3(tmp_path, command):
+    # the couplings are subnormal, so the dark-state norm underflows
+    proc = run_bounded(command, tmp_path, "coupling.kappa_ref=1e-320")
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: dark state undefined: "
+                           "coupling norm is not a normal float")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("key,overrides", [
     ("design.budget", ["design.budget=1"]),
     ("design.w_", [f"design.w_{name}=0" for name in

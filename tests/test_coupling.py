@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sapsim import (CalibrationError, CouplingModel, build_sap3,
-                    calibrate_decay, calibrate_strength, calibrated_model,
-                    nominal_input, propagate, split_report)
+from sapsim import (CalibrationError, CouplingModel, IntegrationError,
+                    build_sap3, calibrate_decay, calibrate_strength,
+                    calibrated_model, dop853, nominal_input, propagate,
+                    split_report)
 
 from conftest import (D_NEAR, DELTA0, HALF_LENGTH, LAM0, LATERAL_TRAVEL,
                       SEPARATION, TARGET_RATIO, WIDTH)
@@ -141,6 +142,17 @@ class TestCalibrateStrength:
         assert len(err.value.kappa_grid) == len(err.value.crosstalk_db)
         assert len(err.value.kappa_grid) >= 2
         assert np.all(err.value.crosstalk_db > -90.0)
+
+    def test_failure_past_the_first_pass_leaves_the_pass(self, folded5_ref,
+                                                         base, monkeypatch):
+        # the chunk's later, stronger points need more steps than this
+        # budget allows (kappa_ref 1.0 takes 43 steps, 1.85 about 75); the
+        # first point passes a 0 dB target, so the scan must stop there
+        monkeypatch.setattr(dop853, "MAX_STEPS", 70)
+        assert calibrate_strength(folded5_ref, base, LAM0, 0.0,
+                                  kappa_min=1.0) == 1.0
+        with pytest.raises(IntegrationError, match="step budget"):
+            calibrate_strength(folded5_ref, base, LAM0, 0.0, kappa_min=2.0)
 
     def test_invalid_arguments(self, folded5_ref, base):
         with pytest.raises(CalibrationError):

@@ -8,14 +8,21 @@ here. The hashes are platform-bound: they were recorded with Python
 3.11, numpy 2.4 and OpenBLAS on x86-64, and another BLAS, CPU or numpy
 version may round differently. A change that means to move the numbers
 must re-record them and say so; one that does not must leave them alone.
+The sweep and optimize hashes were re-recorded once, when sweeps,
+calibration and the design grid moved to the batched propagation; the
+test at the end of this file bounds how far that moved every number.
 """
 
 import hashlib
+import json
+import math
 from pathlib import Path
 
 import pytest
 
 from sapsim.cli import main
+
+from conftest import BATCH_DA
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = ("propagate", "sweep", "farfield", "darkstate", "calibrate")
@@ -27,9 +34,9 @@ GOLDEN = {
         "propagate_summary.json":
             "a0d105ce2665d5d0fbefade97fcbb620bf3e3f63ec918da6638ecb945829e60d",
         "sweep.csv":
-            "62c4df4d32f37e6926b043ecf93c3aab85dd9de8aaba9c010b5ee2bf2293cc7f",
+            "73739c8932910cfc69fb61fd80b8bc594821bf0649cd629bbcef8de6bcc86633",
         "sweep_summary.json":
-            "2e5bbd4363b23cc6d648f263221f09aaa182bc1b77762a86f2e7c2b2fcef287b",
+            "e5ab47bc90294f09e3b09f364eecebff3459c4ef209a87f0f84b8d7e0414a224",
         "farfield.csv":
             "9066935fb9b7b68dcb315c4019ac7fb951a76fc247e168501b63ad8dce409de1",
         "farfield_summary.json":
@@ -45,9 +52,9 @@ GOLDEN = {
         "propagate_summary.json":
             "59f0ae009b5a329171f1424d27293f97aa6a4e03d6d01ac2cb00a533cf5f6247",
         "sweep.csv":
-            "62c4df4d32f37e6926b043ecf93c3aab85dd9de8aaba9c010b5ee2bf2293cc7f",
+            "73739c8932910cfc69fb61fd80b8bc594821bf0649cd629bbcef8de6bcc86633",
         "sweep_summary.json":
-            "2e5bbd4363b23cc6d648f263221f09aaa182bc1b77762a86f2e7c2b2fcef287b",
+            "e5ab47bc90294f09e3b09f364eecebff3459c4ef209a87f0f84b8d7e0414a224",
         "farfield.csv":
             "9066935fb9b7b68dcb315c4019ac7fb951a76fc247e168501b63ad8dce409de1",
         "farfield_summary.json":
@@ -63,9 +70,9 @@ GOLDEN = {
         "propagate_summary.json":
             "a0a0c957c20336f333440a3e0061c640e903a5522ddf660c3dfb180f4158ef2c",
         "sweep.csv":
-            "d32d7225f460dfa923641d651b31dc77bc08e7b9fe9ca2ed5f94b586d1550bee",
+            "afed2be263ce4e8aefc01b5350fd597bcee9c9aa48a8a2c91a39d5c03bbafb67",
         "sweep_summary.json":
-            "b163152e906e9b40726000d6804204d5e84c1b7badb3e6d7b74d4d36a98cb133",
+            "1d309f6fb8263d0b35d5509290c93b24d334da8965950a587736187984a15504",
         "farfield.csv":
             "c2d1e40cfe5634bbca6b259f6812009f337cc716dcad5d249b9f278db3600fde",
         "farfield_summary.json":
@@ -98,9 +105,9 @@ OPTIMIZE_OVERRIDES = ("design.steps_alpha=1", "design.steps_separation=2",
                       "design.steps_half_length=2")
 OPTIMIZE_GOLDEN = {
     "optimize.csv":
-        "bb121a4571006c3723b4119927e056c117c32e39ddd1c2e3b33303b812344f92",
+        "3ac087b71d5aa55e36ecc2475919d1ce5d1003fdd743639f20a020fb740128a7",
     "optimize_best.json":
-        "b118e620eefd158af18c73d6ae5417405c2c5a139696e81053a1d0f7d5f92518",
+        "47ce844c3970ed0a715b8e5d7a74b69c5e1861bfec38d2d4b76a9b6d00c1660c",
 }
 
 
@@ -112,3 +119,103 @@ def test_optimize_outputs_match_recorded_sha256(tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert written == OPTIMIZE_GOLDEN
+
+
+# The sweep, calibrate and optimize outputs come from the batched
+# propagation, whose results differ from one propagation per point by
+# roundoff; their hashes above were re-recorded when sweeps, calibration
+# and the design grid moved to it. data/sequential_outputs.json holds the
+# files the per-point route wrote for the same runs, and every numeric field
+# must stay within a tolerance derived from the batched-vs-sequential
+# agreement of the final amplitudes, DA (conftest.BATCH_DA: three times the
+# largest measured max |da|).
+SEQUENTIAL = json.loads((Path(__file__).resolve().parent / "data"
+                         / "sequential_outputs.json").read_text())
+DA = BATCH_DA
+# |a|^2 moves by at most 2|a||da| + |da|^2 with |a| <= 1; means, standard
+# deviations, maxima and pair ratios over the outputs (which carry a third
+# of the power or more) move by less than twice that.
+FRACTION_TOL = 2 * (2 * DA + DA ** 2)
+# every crosstalk in these outputs lies above -30 dB, and
+# d(10 log10 p) = (10 / ln 10) dp / p
+P_MIN = 1e-3
+DB_TOL = 10 / math.log(10) * FRACTION_TOL / P_MIN
+# phase of a_out1 * conj(a_out2): |da| / |a| per output, |a| > 0.5
+PHASE_TOL = 4 * DA
+# score: the crosstalk in dB over 10 plus the imbalance (unit weights)
+SCORE_TOL = DB_TOL / 10 + FRACTION_TOL
+# fields that do not depend on the propagation route
+EXACT = {"lambda_nm", "rank", "alpha_deg", "separation_um", "half_length_um",
+         "target_ratio", "device_length_um", "max_adiabaticity", "valid",
+         "n_points", "kind", "delta_decay_um", "d_ref_um", "kappa_ref",
+         "crosstalk_target_db", "kappa_min", "kappa_max", "resolution",
+         "refined", "achieved_crosstalk_db"}
+
+
+def _tolerance(name):
+    if name in EXACT:
+        return 0.0
+    if name.endswith("crosstalk_db"):
+        return DB_TOL
+    if "phase" in name:
+        return PHASE_TOL
+    return SCORE_TOL if name == "score" else FRACTION_TOL
+
+
+def _fields(name, text):
+    """(field name, value) pairs of a CSV (by column) or JSON file."""
+    if name.endswith(".csv"):
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        return [(col, float(v)) for row in rows for col, v in zip(header, row)]
+    out = []
+
+    def walk(key, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(k, v)
+        elif isinstance(value, list):
+            for v in value:
+                walk(key, v)
+        else:
+            out.append((key, value))
+    walk(None, json.loads(text))
+    return out
+
+
+def _assert_close(name, got, expected):
+    got, expected = _fields(name, got), _fields(name, expected)
+    assert [k for k, _ in got] == [k for k, _ in expected]
+    for (key, a), (_, b) in zip(got, expected):
+        if isinstance(b, str) or b is None or not math.isfinite(b):
+            assert a == b or (a != a and b != b), (name, key)
+            continue
+        if key.endswith("crosstalk_db"):
+            assert 10 ** (b / 10) >= P_MIN
+        assert abs(a - b) <= _tolerance(key), (name, key, a, b)
+
+
+@pytest.mark.parametrize("config", list(GOLDEN))
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+def test_batched_outputs_match_sequential_values(tmp_path, config, command):
+    argv = [command, "--out", str(tmp_path)]
+    if config is not None:
+        argv += ["--config", str(CONFIGS / config)]
+    assert main(argv) == 0
+    recorded = SEQUENTIAL[config or "defaults"]
+    names = sorted(n for n in recorded if n.startswith(command))
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        _assert_close(name, (tmp_path / name).read_text(), recorded[name])
+
+
+@pytest.mark.parametrize("grid", ["optimize", "optimize_default"])
+def test_batched_optimize_matches_sequential_values(tmp_path, grid):
+    # the small golden grid, and the default 125-candidate grid, whose
+    # ranking (the rank and parameter columns, compared exactly) must
+    # not move either
+    argv = ["optimize", "--out", str(tmp_path)]
+    for item in OPTIMIZE_OVERRIDES if grid == "optimize" else ():
+        argv += ["--override", item]
+    assert main(argv) == 0
+    for name, text in SEQUENTIAL[grid].items():
+        _assert_close(name, (tmp_path / name).read_text(), text)
