@@ -128,11 +128,11 @@ def adiabaticity_margin(layout: ArrayLayout, model: CouplingModel, lam: float,
         raise ValueError("n_samples must be at least 2")
     zs = np.linspace(0.0, layout.z_end_um, n_samples)
     dz_mm = (zs[1] - zs[0]) / 1000.0
-    couplings, diagonal = coupling_chain(layout, model, lam)
+    couplings, diagonal = coupling_chain([layout], [model], [lam])
     k = couplings(zs[:, None])
     darks = _dark_vectors(k)
     dpsi = np.gradient(darks, dz_mm, axis=0)
-    w, V = np.linalg.eigh(tridiagonal(k, diagonal))
+    w, V = np.linalg.eigh(tridiagonal(k, diagonal[0]))
 
     dark_idx = np.argmax(np.abs(np.einsum("sij,si->sj", V, darks)), axis=1)
     others = np.arange(layout.n_guides) != dark_idx[:, None]

@@ -136,7 +136,7 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
     with the scanned diagnostic curve attached if no grid point passes.
     """
     from .analysis import split_report
-    from .propagator import propagate_batch
+    from .propagator import batch_finals, propagate
 
     if crosstalk_target_db > 0:
         raise CalibrationError("crosstalk_target_db must be <= 0 dB")
@@ -154,12 +154,12 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
             k *= 1.0 + resolution
         models = [replace(base_model, kappa_ref=kc) for kc in chunk]
         try:
-            finals = propagate_batch([layout] * len(chunk), models,
-                                     [lam0] * len(chunk), opts)
+            finals = batch_finals([layout] * len(chunk), models,
+                                  [lam0] * len(chunk), opts)
         except IntegrationError:
             # the failing point may lie past the first pass, where the scan
             # stops: rescan the chunk one point at a time, up to the pass
-            finals = (propagate_batch([layout], [model], [lam0], opts)[0]
+            finals = (propagate(layout, model, lam0, opts=opts).final
                       for model in models)
         for kc, final in zip(chunk, finals):
             grid.append(kc)

@@ -23,8 +23,9 @@ from .spectral import sweep_designs
 
 _RANK_SCALE = {"crosstalk_db_per_10": 10.0, "length_cm": 1e4}
 # Scores this close (relative) are one score when ranking. Designs with the
-# same coupling profile (separation and angle varied together at fixed
-# length and facet ratio) differ only by rounding, about 1e-15.
+# same coupling profile (separation and angle varied at fixed length and
+# facet ratio) differ only by rounding, about 1e-15, when their band sweeps
+# share step sequences (see _evaluate).
 SCORE_TIE_RTOL = 1e-12
 
 
@@ -118,7 +119,13 @@ def evaluate_candidate(params: CandidateParams,
 
 def _evaluate(points, config: ObjectiveConfig) -> list:
     """Score each parameter point; the band sweeps of all valid points run
-    as one batched propagation."""
+    as one batched propagation.
+
+    The coupling profile of a candidate depends on its half-length and
+    facet ratio only (the config fixes the rest), so the candidates that
+    share both are swept as one group: each of their wavelengths in one
+    solve, hence one step sequence, so that their scores tie.
+    """
     candidates, valid = [], []
     for params in points:
         try:
@@ -137,7 +144,9 @@ def _evaluate(points, config: ObjectiveConfig) -> list:
 
     curves = sweep_designs([lay for _, lay, _ in valid],
                            [mod for _, _, mod in valid], config.lam_min,
-                           config.lam_max, config.n_points, config.options)
+                           config.lam_max, config.n_points, config.options,
+                           [(points[i].half_length_um, points[i].target_ratio)
+                            for i, _, _ in valid])
     for (i, layout, model), curve in zip(valid, curves):
         imbalance = max(abs(r.fractions[0] - 0.5) for r in curve.reports)
         try:
@@ -223,8 +232,10 @@ def refine_local(start: DesignCandidate, config: ObjectiveConfig,
     """Derivative-free simplex polish around a candidate.
 
     Works in start-relative coordinates so the termination width 1e-3 is a
-    relative simplex diameter; never returns a candidate worse than the
-    start.
+    relative simplex diameter. Returns the polished candidate only when it
+    scores strictly below the start scored the same way (a start from
+    ``grid_search`` carries a score from a larger batch, which differs by
+    roundoff), and the start otherwise.
     """
     if max_iters <= 0:
         return start
@@ -245,4 +256,5 @@ def refine_local(start: DesignCandidate, config: ObjectiveConfig,
                       options={"maxiter": max_iters, "xatol": 1e-3,
                                "fatol": 1e-12, "disp": False})
     best = evaluate_candidate(CandidateParams(*(result.x * scale)), config)
-    return best if best.score <= start.score else start
+    return best if best.score < evaluate_candidate(start.params,
+                                                   config).score else start

@@ -433,34 +433,53 @@ def _batch_error_norm(K, h, scale, shape):
 
 
 def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
-          dense_output: bool = False, batched: bool = False) -> Solution:
+          dense_output: bool = False) -> Solution:
     """Integrate y' = fun(t, y) from t0 to t_bound (either direction).
 
-    ``fun`` returns a complex array shaped like ``y0``. With ``batched``,
-    y0 is (B, n): B independent systems stepped together, each with its own
-    error norm (see the module notes); ``fun`` then takes and returns (B, n)
-    arrays, and in the initial-step estimate it receives t as a (B, 1)
-    array of per-member points. A batch has no dense output, and its
-    ``Solution.y`` is (B, n, m).
+    y0 is one system's state, 1-D, and ``fun`` returns a complex array of
+    its shape: scipy's scope, in which every step is bit-identical to
+    ``solve_ivp``.
 
     Raises IntegrationError when the required step falls below 10 ulp of t
     or after MAX_STEPS trial steps, and ValueError for an empty span, a
-    non-finite start state or one of the wrong rank, a negative atol, or
-    dense output asked of a batch. An rtol below 100 eps is raised to it
-    with a warning.
+    start state that is not a finite 1-D array, or a negative atol. An rtol
+    below 100 eps is raised to it with a warning.
     """
+    return _integrate(fun, t0, t_bound, _start_state(y0, 1), rtol, atol,
+                      dense_output)
+
+
+def solve_batch(fun, t0: float, t_bound: float, y0, rtol: float,
+                atol: float) -> Solution:
+    """Integrate B independent systems together; y0 is (B, n).
+
+    ``fun`` takes and returns (B, n) arrays; in the initial-step estimate
+    it receives t as a (B, 1) array of per-member points. Each member keeps
+    its own error norm (see the module notes). There is no dense output,
+    and ``Solution.y`` is (B, n, m). Raises as ``solve`` does, with a finite
+    2-D start state required.
+    """
+    return _integrate(fun, t0, t_bound, _start_state(y0, 2), rtol, atol,
+                      False)
+
+
+def _start_state(y0, ndim: int) -> np.ndarray:
+    y = np.asarray(y0).astype(complex, copy=False)
+    if y.ndim != ndim or not np.isfinite(y).all():
+        raise ValueError(f"the initial state must be a finite {ndim}-D array")
+    return y
+
+
+def _integrate(fun, t0, t_bound, y, rtol, atol, dense_output) -> Solution:
+    """The one stepper behind ``solve`` and ``solve_batch``; a 2-D state y
+    is a batch."""
     t0, t_bound = float(t0), float(t_bound)
     if t0 == t_bound:
         raise ValueError("empty integration span")
-    y = np.asarray(y0).astype(complex, copy=False)
-    if y.ndim != 1 + batched or not np.isfinite(y).all():
-        raise ValueError("the initial state must be a finite 1-D array, "
-                         "or 2-D for a batch")
-    if batched and dense_output:
-        raise ValueError("dense output is for a single system")
+    batched = y.ndim == 2
     if rtol < 100 * EPS:
         warnings.warn(f"rtol too small; setting rtol = {100 * EPS}",
-                      stacklevel=2)
+                      stacklevel=3)
         rtol = np.maximum(rtol, 100 * EPS)
     atol = np.asarray(atol)
     if atol < 0:

@@ -100,41 +100,36 @@ def nominal_input(layout: ArrayLayout, lam: float) -> StateVector:
     return unit_state(layout.n_guides, layout.input_label, lam)
 
 
-def coupling_chain(layout, model, lam):
-    """The entries of H: ``(couplings, diagonal)``.
+def coupling_chain(layouts, models, lams):
+    """The entries of H for B systems: ``(couplings, diagonal)``.
 
-    For one system pass a layout, a model and a wavelength (nm). For a batch
-    of B systems pass three sequences of length B, one item per member; the
-    layouts must share one guide count n. Every per-member quantity below
-    (dx0, dslope, delta(lam), kappa_ref, d_ref and the diagonal) then
-    carries a leading member axis.
+    Member b is (layouts[b], models[b], lams[b]), wavelengths in nm; the
+    layouts share one guide count n. One system is a batch of one. Every
+    per-member quantity below (dx0, dslope, delta(lam), kappa_ref, d_ref and
+    the diagonal) carries a leading member axis.
 
     ``couplings(z_um)`` returns the n-1 nearest-neighbor rates (1/mm)
 
-        k_i(z) = kappa_ref * exp(-(|dx0_i + dslope_i * z| - d_ref) / delta(lam)).
+        k_bi(z) = kappa_ref_b * exp(-(|dx0_bi + dslope_bi * z| - d_ref_b)
+                                    / delta_b(lam_b)),
 
-    For one system z is a scalar or an array of shape (..., 1), and the
-    result has shape (n-1,) or (..., n-1); for a batch z is a scalar or a
-    (B, 1) array of per-member positions, and the result is (B, n-1).
-    ``diagonal``, (n,) or (B, n), holds the detuning on the inclined guides
-    and zero elsewhere.
+    shaped (B, n-1) for a scalar z or a (B, 1) array of per-member
+    positions; for one member and z of shape (..., 1) it is (..., n-1).
+    ``diagonal``, (B, n), holds the detuning on the inclined guides and
+    zero elsewhere.
     """
-    batch = not isinstance(layout, ArrayLayout)
-    members = list(zip(layout, model, lam)) if batch else [(layout, model, lam)]
+    members = list(zip(layouts, models, lams))
     if len({lay.n_guides for lay, _, _ in members}) > 1:
         raise ValueError("a batch needs one guide count")
     dx0 = np.array([np.diff([p.x0 for p in lay.paths]) for lay, _, _ in members])
     dslope = np.array([np.diff([p.slope for p in lay.paths])
                        for lay, _, _ in members])
     delta_lam, kref, dref = np.array(
-        [[[mod.decay_length(lam_)], [mod.kappa_ref], [mod.d_ref]]
-         for _, mod, lam_ in members]).transpose(1, 0, 2)
+        [[[mod.decay_length(lam)], [mod.kappa_ref], [mod.d_ref]]
+         for _, mod, lam in members]).transpose(1, 0, 2)
     diagonal = np.zeros(dx0.shape[:1] + (dx0.shape[1] + 1,))
     for row, (lay, mod, _) in zip(diagonal, members):
         row[[label - 1 for label in lay.inclined_labels]] = mod.detuning
-    if not batch:
-        dx0, dslope, diagonal = dx0[0], dslope[0], diagonal[0]
-        delta_lam, kref, dref = delta_lam[0, 0], kref[0, 0], dref[0, 0]
 
     def couplings(z_um):
         return kref * np.exp((dref - np.abs(dx0 + dslope * z_um)) / delta_lam)
@@ -143,7 +138,8 @@ def coupling_chain(layout, model, lam):
 
 
 def tridiagonal(k: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal matrices (..., n, n) from couplings (..., n-1)."""
+    """Symmetric tridiagonal matrices (..., n, n) from couplings (..., n-1)
+    and one diagonal (n,)."""
     n = diagonal.size
     H = np.zeros(k.shape[:-1] + (n, n))
     i = np.arange(n - 1)
@@ -157,25 +153,35 @@ def hamiltonian_at(layout: ArrayLayout, model: CouplingModel, z: float,
                    lam: float) -> Hamiltonian:
     """Coupled-mode matrix at position z (um) and wavelength lam (nm)."""
     layout._check_z(z)
-    couplings, diagonal = coupling_chain(layout, model, lam)
-    return Hamiltonian(tridiagonal(couplings(z), diagonal), z)
+    couplings, diagonal = coupling_chain([layout], [model], [lam])
+    return Hamiltonian(tridiagonal(couplings(z)[0], diagonal[0]), z)
+
+
+def _finite_chain(layouts, models, lams, where: str):
+    """coupling_chain, plus the members' lengths z_end (B, 1) in um.
+
+    Raises IntegrationError ("non-finite Hamiltonian {where}") when some
+    member's H is not finite at either end: couplings are monotone in z
+    (guides never cross), so finite ends bound every interior value. One
+    check per propagation keeps the integrator from searching forever for
+    a step on NaN input.
+    """
+    couplings, diagonal = coupling_chain(layouts, models, lams)
+    z_end_um = np.array([[lay.z_end_um] for lay in layouts])
+    ends = np.hstack([couplings(0.0), couplings(z_end_um), diagonal])
+    if not np.all(np.isfinite(ends)):
+        raise IntegrationError(f"non-finite Hamiltonian {where}")
+    return couplings, diagonal, z_end_um
 
 
 def _rhs(layout: ArrayLayout, model: CouplingModel, lam: float):
-    """da/dz = i H(z) a with z in mm, applied without forming H.
-
-    Raises IntegrationError when H is not finite at either end: couplings
-    are monotone in z (guides never cross), so finite ends bound every
-    interior value. One check per propagation keeps the integrator from
-    searching forever for a step on NaN input.
-    """
-    couplings, diagonal = coupling_chain(layout, model, lam)
-    ends = couplings(np.array([[0.0], [layout.z_end_um]]))
-    if not (np.all(np.isfinite(ends)) and np.all(np.isfinite(diagonal))):
-        raise IntegrationError(f"non-finite Hamiltonian at lam = {lam} nm")
+    """da/dz = i H(z) a with z in mm, applied without forming H."""
+    couplings, diagonal, _ = _finite_chain([layout], [model], [lam],
+                                           f"at lam = {lam} nm")
+    diagonal = diagonal[0]
 
     def rhs(z_mm, a):
-        k = couplings(z_mm * UM_PER_MM)
+        k = couplings(z_mm * UM_PER_MM)[0]
         out = diagonal * a
         out[:-1] += k * a[1:]
         out[1:] += k * a[:-1]
@@ -186,16 +192,9 @@ def _rhs(layout: ArrayLayout, model: CouplingModel, lam: float):
 
 def _batch_rhs(layouts, models, lams):
     """The batch's da/du = i z_end H(u z_end) a in the unit span u = z/z_end
-    of each member, so that members of any length step together.
-
-    Raises IntegrationError when some member's H is not finite at either
-    end (see _rhs).
-    """
-    couplings, diagonal = coupling_chain(layouts, models, lams)
-    z_end_um = np.array([[lay.z_end_um] for lay in layouts])
-    ends = np.hstack([couplings(0.0), couplings(z_end_um), diagonal])
-    if not np.all(np.isfinite(ends)):
-        raise IntegrationError("non-finite Hamiltonian in the batch")
+    of each member, so that members of any length step together."""
+    couplings, diagonal, z_end_um = _finite_chain(layouts, models, lams,
+                                                  "in the batch")
     gain = 1j * z_end_um / UM_PER_MM
 
     def rhs(u, a):
@@ -208,34 +207,72 @@ def _batch_rhs(layouts, models, lams):
     return rhs
 
 
-def propagate_batch(layouts, models, lams, opts: PropagationOptions = None) -> list:
+def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list:
+    """Final states of the nominal input for B systems, from one batched
+    DOP853 solve (see ``dop853``) of all of them.
+
+    Raises IntegrationError when the solve fails; ``propagate_batch`` is
+    the entry point that bounds the batch size and names a failing member.
+    """
+    opts = opts or PropagationOptions()
+    rhs = _batch_rhs(layouts, models, lams)
+    a0 = np.array([nominal_input(lay, lam).amplitudes
+                   for lay, lam in zip(layouts, lams)])
+    sol = dop853.solve_batch(rhs, 0.0, 1.0, a0, opts.rtol, opts.atol)
+    return [StateVector(a, lay.z_end_um, lam)
+            for a, lay, lam in zip(sol.y[:, :, -1], layouts, lams)]
+
+
+def _chunks(groups):
+    """Member indices per solve: at most BATCH_SIZE, whole groups (equal
+    entries of ``groups``) in order of first appearance, and a group larger
+    than BATCH_SIZE cut into pieces of BATCH_SIZE."""
+    by_group = {}
+    for i, group in enumerate(groups):
+        by_group.setdefault(group, []).append(i)
+    chunk = []
+    for members in by_group.values():
+        if len(chunk) + len(members) > BATCH_SIZE and chunk:
+            yield chunk
+            chunk = []
+        chunk += members
+        while len(chunk) > BATCH_SIZE:
+            yield chunk[:BATCH_SIZE]
+            chunk = chunk[BATCH_SIZE:]
+    if chunk:
+        yield chunk
+
+
+def propagate_batch(layouts, models, lams, opts: PropagationOptions = None,
+                    groups=None) -> list:
     """Final states of the nominal input for a batch of systems.
 
     Member b is (layouts[b], models[b], lams[b]); all layouts share one
-    guide count. Members are integrated together by one batched DOP853
-    solve per BATCH_SIZE of them (see ``dop853``), which agrees with
-    ``propagate`` member by member to roundoff at the tolerance level.
-    When a batch fails, its members are propagated one at a time, so the
+    guide count. Members are integrated together, one ``batch_finals`` per
+    BATCH_SIZE of them; the result agrees with ``propagate`` member by
+    member to roundoff at the tolerance level. Members of one solve share
+    its step sequence, so a member's roundoff depends on which others are
+    in its solve. ``groups``, one hashable per member, keeps the members
+    with equal entries in one solve (unless there are more than BATCH_SIZE
+    of them): systems that must agree to roundoff, such as designs with one
+    coupling profile at one wavelength, belong in one group.
+
+    When a solve fails, its members are propagated one at a time, so the
     first failing member raises the IntegrationError ``propagate`` would.
     """
     opts = opts or PropagationOptions()
     layouts, models, lams = list(layouts), list(models), [float(v) for v in lams]
-    finals = []
-    for first in range(0, len(lams), BATCH_SIZE):
-        chunk = slice(first, first + BATCH_SIZE)
-        batch = layouts[chunk], models[chunk], lams[chunk]
+    finals = [None] * len(lams)
+    for chunk in _chunks(range(len(lams)) if groups is None else groups):
+        members = [(layouts[i], models[i], lams[i]) for i in chunk]
         try:
-            rhs = _batch_rhs(*batch)
-            a0 = np.array([nominal_input(lay, lam).amplitudes
-                           for lay, lam in zip(batch[0], batch[2])])
-            sol = dop853.solve(rhs, 0.0, 1.0, a0, opts.rtol, opts.atol,
-                               batched=True)
-            finals.extend(sol.y[:, :, -1])
+            states = batch_finals(*zip(*members), opts)
         except IntegrationError:
-            finals.extend(propagate(*member, opts=opts).amplitudes[-1]
-                          for member in zip(*batch))
-    return [StateVector(a, lay.z_end_um, lam)
-            for a, lay, lam in zip(finals, layouts, lams)]
+            states = [propagate(*member, opts=opts).final
+                      for member in members]
+        for i, state in zip(chunk, states):
+            finals[i] = state
+    return finals
 
 
 def _solve(layout: ArrayLayout, model: CouplingModel, lam: float, a0,
@@ -305,14 +342,14 @@ def propagate_oracle(layout: ArrayLayout, model: CouplingModel, lam: float,
     """
     if n_slices < 1:
         raise ValueError("n_slices must be at least 1")
-    couplings, diagonal = coupling_chain(layout, model, lam)
+    couplings, diagonal = coupling_chain([layout], [model], [lam])
     z_end_mm = layout.z_end_um / UM_PER_MM
     dz = z_end_mm / n_slices
     a = np.asarray(state.amplitudes, dtype=complex).copy()
     for first in range(0, n_slices, _ORACLE_BATCH):
         i = np.arange(first, min(first + _ORACLE_BATCH, n_slices))
         z_um = ((i + 0.5) * dz * UM_PER_MM)[:, None]
-        w, V = np.linalg.eigh(tridiagonal(couplings(z_um), diagonal))
+        w, V = np.linalg.eigh(tridiagonal(couplings(z_um), diagonal[0]))
         steps = (V * np.exp(1j * w * dz)[:, None, :]) @ V.transpose(0, 2, 1)
         for step in steps:
             a = step @ a

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sapsim import (GeometryError, IntegrationError, build_folded5,
                     build_fsap3, build_sap3, calibrated_model, dop853,
                     nominal_input, propagate, propagate_batch,
-                    propagate_oracle)
+                    propagate_oracle, propagator)
 
 from conftest import BATCH_DA, KAPPA_REF, LAM0, TARGET_RATIO
 
@@ -95,20 +95,22 @@ def test_failing_member_raises_its_own_message(folded5_ref, kappa_ref):
     assert "lam = 1565.0 nm" in str(batched.value)
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_step_budget_ends_a_fast_oscillation(batched):
+@pytest.mark.parametrize("solve, shape", [(dop853.solve, 3),
+                                          (dop853.solve_batch, (2, 3))])
+def test_step_budget_ends_a_fast_oscillation(solve, shape):
     # y' = i 1e6 y over [0, 1] needs about 1e6 steps; the solve stops at
-    # MAX_STEPS trial steps instead
-    y0 = np.ones((2, 3) if batched else 3, dtype=complex)
+    # MAX_STEPS trial steps instead, for one system and for a batch
+    y0 = np.ones(shape, dtype=complex)
     with pytest.raises(IntegrationError, match="step budget"):
-        dop853.solve(lambda t, y: 1e6j * y, 0.0, 1.0, y0, 1e-10, 1e-12,
-                     batched=batched)
+        solve(lambda t, y: 1e6j * y, 0.0, 1.0, y0, 1e-10, 1e-12)
 
 
-def test_batch_rejects_dense_output_and_wrong_rank():
-    with pytest.raises(ValueError):
-        dop853.solve(lambda t, y: 1j * y, 0.0, 1.0, np.ones((2, 3)), 1e-6,
-                     1e-9, dense_output=True, batched=True)
-    with pytest.raises(ValueError):
-        dop853.solve(lambda t, y: 1j * y, 0.0, 1.0, np.ones(3), 1e-6, 1e-9,
-                     batched=True)
+def test_chunks_keep_groups_whole(monkeypatch):
+    monkeypatch.setattr(propagator, "BATCH_SIZE", 4)
+    groups = ["a", "b", "a", "c", "c", "c"] + ["d"] * 6
+    # a and b share a solve; c does not fit beside them; d is larger than
+    # one solve and is cut, its remainder opening the next solve
+    assert list(propagator._chunks(groups)) == [
+        [0, 2, 1], [3, 4, 5], [6, 7, 8, 9], [10, 11]]
+    # without groups, members are cut in order
+    assert list(propagator._chunks(range(6))) == [[0, 1, 2, 3], [4, 5]]

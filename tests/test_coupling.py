@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sapsim import (CalibrationError, CouplingModel, IntegrationError,
                     build_sap3, calibrate_decay, calibrate_strength,
                     calibrated_model, dop853, nominal_input, propagate,
-                    split_report)
+                    propagator, split_report)
 
 from conftest import (D_NEAR, DELTA0, HALF_LENGTH, LAM0, LATERAL_TRAVEL,
                       SEPARATION, TARGET_RATIO, WIDTH)
@@ -149,8 +149,14 @@ class TestCalibrateStrength:
         # budget allows (kappa_ref 1.0 takes 43 steps, 1.85 about 75); the
         # first point passes a 0 dB target, so the scan must stop there
         monkeypatch.setattr(dop853, "MAX_STEPS", 70)
+        alone = []
+        monkeypatch.setattr(propagator, "propagate",
+                            lambda *args, **kw: alone.append(args[1])
+                            or propagate(*args, **kw))
         assert calibrate_strength(folded5_ref, base, LAM0, 0.0,
                                   kappa_min=1.0) == 1.0
+        # after the failed batch, only the passing point is solved again
+        assert [m.kappa_ref for m in alone] == [1.0]
         with pytest.raises(IntegrationError, match="step budget"):
             calibrate_strength(folded5_ref, base, LAM0, 0.0, kappa_min=2.0)
 

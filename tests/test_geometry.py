@@ -244,8 +244,8 @@ class TestTopology:
         assert all(p.slope == 0.0 for p in layout.paths)
         model = CouplingModel(kappa_ref=0.7, d_ref=11.0, delta_decay=4.14,
                               lambda0=1550.0, detuning=0.3)
-        _, diagonal = coupling_chain(layout, model, 1550.0)
+        _, diagonal = coupling_chain([layout], [model], [1550.0])
         expected = np.zeros(layout.n_guides)
         expected[1::2] = 0.3
-        assert np.array_equal(diagonal, expected)
+        assert np.array_equal(diagonal[0], expected)
         assert facet_separations(layout) == (11.0, 11.0)
