@@ -125,8 +125,12 @@ def cmd_farfield(cfg, out: Path) -> None:
     ff = cfg.farfield
     traj = propagate(layout, model, ff.wavelength, opts=opts)
     amps, pos = facet_emitters(traj.final, layout, ff.include_central_above)
-    pattern = farfield_pattern(amps, pos, ff.wavelength, ff.waist,
-                               ff.theta_max, ff.n_points)
+    try:
+        pattern = farfield_pattern(amps, pos, ff.wavelength, ff.waist,
+                                   ff.theta_max, ff.n_points)
+    except ValueError as exc:
+        # no light on the emitting guides (the config fixes the rest)
+        raise IntegrationError(f"{exc} at lam = {ff.wavelength} nm") from None
 
     _write_csv(out / "farfield.csv", ["theta_rad", "intensity"],
                list(zip(pattern.angles_rad, pattern.intensity)))

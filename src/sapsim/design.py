@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import adiabaticity_margin
 from .coupling import calibrated_model
-from .errors import GeometryError, IntegrationError
+from .errors import CalibrationError, GeometryError, IntegrationError
 from .geometry import GeometrySpec, Kind, build_layout
 from .propagator import PropagationOptions
 from .spectral import sweep_designs
@@ -138,7 +138,7 @@ def _evaluate(points, config: ObjectiveConfig) -> list:
                                      config.rho, config.detuning)
             valid.append((len(candidates), layout, model))
             candidates.append(None)
-        except (GeometryError, ValueError) as exc:
+        except (GeometryError, CalibrationError, ValueError) as exc:
             candidates.append(DesignCandidate(params, None, math.inf, False,
                                               str(exc)))
 

@@ -10,8 +10,9 @@ points, states, RHS count and dense samples are bit-identical to scipy's;
 module costs nothing beyond numpy, where importing scipy's ODE package
 pulls in about 0.6 s of unrelated modules (quadrature, special functions).
 
-The same stepper also integrates a batch of B independent systems of n
-components each as one state of B*n components, so that Python overhead
+``solve`` reads the scope from the rank of the start state: a 1-D state
+of n components is one system, in scipy's scope; a 2-D (B, n) state is a
+batch of B independent systems stepped together, so that Python overhead
 is paid once per step rather than once per system. Each member keeps its
 own error norm and its own initial-step estimate; the batch steps with
 the largest norm and the smallest estimate, so no member is resolved more
@@ -418,16 +419,17 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _batch_error_norm(K, h, scale, shape):
-    """The largest over the members of _error_norm (Hairer, Norsett and
-    Wanner keep one such norm per system; a pooled norm over the batch
-    would let one badly resolved member hide behind the others)."""
-    err5 = (_row_sum(K, _E5) / scale).reshape(shape)
-    err3 = (_row_sum(K, _E3) / scale).reshape(shape)
+def _batch_error_norm(K, h, scale):
+    """The largest over the members (rows of scale) of _error_norm
+    (Hairer, Norsett and Wanner keep one such norm per system; a pooled norm
+    over the batch would let one badly resolved member hide behind the
+    others)."""
+    err5 = _row_sum(K, _E5) / scale
+    err3 = _row_sum(K, _E3) / scale
     err5_norm_2 = np.sum(err5.real ** 2 + err5.imag ** 2, axis=1)
     err3_norm_2 = np.sum(err3.real ** 2 + err3.imag ** 2, axis=1)
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    norms = np.abs(h) * err5_norm_2 / np.sqrt(denom * shape[1])
+    norms = np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
     norms[denom == 0] = 0.0
     return norms.max()
 
@@ -436,80 +438,51 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
           dense_output: bool = False) -> Solution:
     """Integrate y' = fun(t, y) from t0 to t_bound (either direction).
 
-    y0 is one system's state, 1-D, and ``fun`` returns a complex array of
-    its shape: scipy's scope, in which every step is bit-identical to
-    ``solve_ivp``.
+    The rank of y0 sets the scope. A 1-D y0 is one system, and every step
+    is bit-identical to scipy's ``solve_ivp``. A 2-D y0, (B, n), is a batch
+    of B independent systems (see the module notes): its ``Solution.y`` is
+    (B, n, m), it has no dense output, and in the initial-step estimate
+    ``fun`` receives t as a (B, 1) array of per-member points. ``fun``
+    returns a complex array of the state's shape.
 
     Raises IntegrationError when the required step falls below 10 ulp of t
     or after MAX_STEPS trial steps, and ValueError for an empty span, a
-    start state that is not a finite 1-D array, or a negative atol. An rtol
-    below 100 eps is raised to it with a warning.
+    start state that is not a finite 1-D or 2-D array, dense output for a
+    batch, or a negative atol. An rtol below 100 eps is raised to it with a
+    warning.
     """
-    return _integrate(fun, t0, t_bound, _start_state(y0, 1), rtol, atol,
-                      dense_output)
-
-
-def solve_batch(fun, t0: float, t_bound: float, y0, rtol: float,
-                atol: float) -> Solution:
-    """Integrate B independent systems together; y0 is (B, n).
-
-    ``fun`` takes and returns (B, n) arrays; in the initial-step estimate
-    it receives t as a (B, 1) array of per-member points. Each member keeps
-    its own error norm (see the module notes). There is no dense output,
-    and ``Solution.y`` is (B, n, m). Raises as ``solve`` does, with a finite
-    2-D start state required.
-    """
-    return _integrate(fun, t0, t_bound, _start_state(y0, 2), rtol, atol,
-                      False)
-
-
-def _start_state(y0, ndim: int) -> np.ndarray:
-    y = np.asarray(y0).astype(complex, copy=False)
-    if y.ndim != ndim or not np.isfinite(y).all():
-        raise ValueError(f"the initial state must be a finite {ndim}-D array")
-    return y
-
-
-def _integrate(fun, t0, t_bound, y, rtol, atol, dense_output) -> Solution:
-    """The one stepper behind ``solve`` and ``solve_batch``; a 2-D state y
-    is a batch."""
     t0, t_bound = float(t0), float(t_bound)
     if t0 == t_bound:
         raise ValueError("empty integration span")
+    y = np.asarray(y0).astype(complex, copy=False)
+    if y.ndim not in (1, 2) or not np.isfinite(y).all():
+        raise ValueError("the initial state must be a finite 1-D or 2-D array")
     batched = y.ndim == 2
+    if batched and dense_output:
+        raise ValueError("dense output needs a 1-D initial state")
     if rtol < 100 * EPS:
         warnings.warn(f"rtol too small; setting rtol = {100 * EPS}",
-                      stacklevel=3)
+                      stacklevel=2)
         rtol = np.maximum(rtol, 100 * EPS)
     atol = np.asarray(atol)
     if atol < 0:
         raise ValueError("atol must be non-negative")
 
     nfev = 0
-    shape = y.shape
 
     def counted(t, y):
         nonlocal nfev
         nfev += 1
         return fun(t, y)
 
+    initial_step, error_norm_of, combine = (
+        (_batch_initial_step, _batch_error_norm, _row_sum) if batched
+        else (_initial_step, _error_norm, _dot))
     direction = np.sign(t_bound - t0)
     f = counted(t0, y)
-    initial_step = _batch_initial_step if batched else _initial_step
     with np.errstate(**_TRIAL_ERRSTATE):
         h_abs = initial_step(counted, t0, y, t_bound, f, direction, rtol, atol)
-    step_fun, error_norm_of, combine = counted, _error_norm, _dot
-    if batched:
-        # the steps below work on the flat state of all members
-        def step_fun(t, y):
-            return counted(t, y.reshape(shape)).ravel()
-
-        def error_norm_of(K, h, scale):
-            return _batch_error_norm(K, h, scale, shape)
-
-        combine = _row_sum
-        y, f = y.ravel(), f.ravel()
-    K_extended = np.empty((N_STAGES_EXTENDED, y.size), dtype=y.dtype)
+    K_extended = np.empty((N_STAGES_EXTENDED,) + y.shape, dtype=y.dtype)
     K = K_extended[:N_STAGES + 1]
 
     t = t0
@@ -538,9 +511,9 @@ def _integrate(fun, t0, t_bound, y, rtol, atol, dense_output) -> Solution:
                 h_abs = np.abs(h)
 
                 K[0] = f
-                _stages(step_fun, t, y, h, K, _STAGES, 1, combine)
+                _stages(counted, t, y, h, K, _STAGES, 1, combine)
                 y_new = y + h * combine(K[:-1], _B)
-                f_new = step_fun(t + h, y_new)
+                f_new = counted(t + h, y_new)
                 K[-1] = f_new
 
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -560,7 +533,7 @@ def _integrate(fun, t0, t_bound, y, rtol, atol, dense_output) -> Solution:
 
         if dense_output:
             # scipy's DOP853._dense_output_impl, for the step just taken
-            _stages(step_fun, t, y, h, K_extended, _EXTRA_STAGES, N_STAGES + 1)
+            _stages(counted, t, y, h, K_extended, _EXTRA_STAGES, N_STAGES + 1)
             F = np.empty((INTERPOLATOR_POWER, y.size), dtype=y.dtype)
             f_old = K_extended[0]
             delta_y = y_new - y
@@ -576,7 +549,6 @@ def _integrate(fun, t0, t_bound, y, rtol, atol, dense_output) -> Solution:
         if direction * (t - t_bound) >= 0:
             break
 
-    ts, ys = np.array(ts), np.vstack(ys)
+    ts, ys = np.array(ts), np.array(ys)
     sol = DenseOutput(ts, ys, np.array(Fs)) if dense_output else None
-    return Solution(ts, np.moveaxis(ys.reshape(len(ts), *shape), 0, -1),
-                    nfev, sol)
+    return Solution(ts, np.moveaxis(ys, 0, -1), nfev, sol)

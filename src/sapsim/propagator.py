@@ -157,51 +157,36 @@ def hamiltonian_at(layout: ArrayLayout, model: CouplingModel, z: float,
     return Hamiltonian(tridiagonal(couplings(z)[0], diagonal[0]), z)
 
 
-def _finite_chain(layouts, models, lams, where: str):
-    """coupling_chain, plus the members' lengths z_end (B, 1) in um.
+def _rhs(layouts, models, lams, span_um):
+    """da/dt = i (span/1 mm) H(t span) a for the members (as in
+    coupling_chain), applied without forming H; t is z in units of the
+    span. A scalar ``span_um`` is one system, with a 1-D state, stepping in
+    mm (span UM_PER_MM). A (B, 1) array is a batch, with a (B, n) state,
+    stepping in each member's unit span (span z_end), so that members of
+    any length step together.
 
-    Raises IntegrationError ("non-finite Hamiltonian {where}") when some
-    member's H is not finite at either end: couplings are monotone in z
-    (guides never cross), so finite ends bound every interior value. One
-    check per propagation keeps the integrator from searching forever for
-    a step on NaN input.
+    Raises IntegrationError ("non-finite Hamiltonian at lam = ... nm",
+    naming the first such member) when some member's H is not finite at
+    either end: couplings are monotone in z (guides never cross), so finite
+    ends bound every interior value. One check per propagation keeps the
+    integrator from searching forever for a step on NaN input.
     """
     couplings, diagonal = coupling_chain(layouts, models, lams)
     z_end_um = np.array([[lay.z_end_um] for lay in layouts])
     ends = np.hstack([couplings(0.0), couplings(z_end_um), diagonal])
-    if not np.all(np.isfinite(ends)):
-        raise IntegrationError(f"non-finite Hamiltonian {where}")
-    return couplings, diagonal, z_end_um
+    finite = np.isfinite(ends).all(axis=1)
+    if not finite.all():
+        lam = lams[np.argmin(finite)]
+        raise IntegrationError(f"non-finite Hamiltonian at lam = {lam} nm")
+    gain = 1j * span_um / UM_PER_MM
+    shape = np.shape(span_um)[:-1] + (-1,)    # the state's: (n,) or (B, n)
+    diagonal = diagonal.reshape(shape)
 
-
-def _rhs(layout: ArrayLayout, model: CouplingModel, lam: float):
-    """da/dz = i H(z) a with z in mm, applied without forming H."""
-    couplings, diagonal, _ = _finite_chain([layout], [model], [lam],
-                                           f"at lam = {lam} nm")
-    diagonal = diagonal[0]
-
-    def rhs(z_mm, a):
-        k = couplings(z_mm * UM_PER_MM)[0]
+    def rhs(t, a):
+        k = couplings(t * span_um).reshape(shape)
         out = diagonal * a
-        out[:-1] += k * a[1:]
-        out[1:] += k * a[:-1]
-        return 1j * out
-
-    return rhs
-
-
-def _batch_rhs(layouts, models, lams):
-    """The batch's da/du = i z_end H(u z_end) a in the unit span u = z/z_end
-    of each member, so that members of any length step together."""
-    couplings, diagonal, z_end_um = _finite_chain(layouts, models, lams,
-                                                  "in the batch")
-    gain = 1j * z_end_um / UM_PER_MM
-
-    def rhs(u, a):
-        k = couplings(u * z_end_um)
-        out = diagonal * a
-        out[:, :-1] += k * a[:, 1:]
-        out[:, 1:] += k * a[:, :-1]
+        out[..., :-1] += k * a[..., 1:]
+        out[..., 1:] += k * a[..., :-1]
         return gain * out
 
     return rhs
@@ -215,10 +200,11 @@ def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list
     the entry point that bounds the batch size and names a failing member.
     """
     opts = opts or PropagationOptions()
-    rhs = _batch_rhs(layouts, models, lams)
+    rhs = _rhs(layouts, models, lams,
+               np.array([[lay.z_end_um] for lay in layouts]))
     a0 = np.array([nominal_input(lay, lam).amplitudes
                    for lay, lam in zip(layouts, lams)])
-    sol = dop853.solve_batch(rhs, 0.0, 1.0, a0, opts.rtol, opts.atol)
+    sol = dop853.solve(rhs, 0.0, 1.0, a0, opts.rtol, opts.atol)
     return [StateVector(a, lay.z_end_um, lam)
             for a, lay, lam in zip(sol.y[:, :, -1], layouts, lams)]
 
@@ -280,7 +266,7 @@ def _solve(layout: ArrayLayout, model: CouplingModel, lam: float, a0,
     """DOP853 (``dop853.solve``, bit-identical to scipy's ``solve_ivp``)
     over the device, from z_end back to 0 when ``backward``. Raises
     IntegrationError for a non-finite H or start state or a step underflow."""
-    rhs = _rhs(layout, model, lam)
+    rhs = _rhs([layout], [model], [lam], UM_PER_MM)
     if not np.all(np.isfinite(a0)):
         raise IntegrationError(f"non-finite input state at lam = {lam} nm")
     z_end_mm = layout.z_end_um / UM_PER_MM

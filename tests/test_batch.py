@@ -95,14 +95,24 @@ def test_failing_member_raises_its_own_message(folded5_ref, kappa_ref):
     assert "lam = 1565.0 nm" in str(batched.value)
 
 
-@pytest.mark.parametrize("solve, shape", [(dop853.solve, 3),
-                                          (dop853.solve_batch, (2, 3))])
-def test_step_budget_ends_a_fast_oscillation(solve, shape):
+def test_non_finite_member_named_in_the_batch(folded5_ref):
+    # the batched solve itself (before propagate_batch's one-at-a-time
+    # rerun) names the wavelength of its non-finite member
+    good = calibrated_model(folded5_ref, TARGET_RATIO, KAPPA_REF, LAM0)
+    bad = calibrated_model(folded5_ref, TARGET_RATIO, np.inf, LAM0)
+    with pytest.raises(IntegrationError,
+                       match=r"^non-finite Hamiltonian at lam = 1565.0 nm$"):
+        propagator.batch_finals([folded5_ref] * 3, [good, bad, good],
+                                [1500.0, 1565.0, 1630.0])
+
+
+@pytest.mark.parametrize("shape", [3, (2, 3)], ids=["system", "batch"])
+def test_step_budget_ends_a_fast_oscillation(shape):
     # y' = i 1e6 y over [0, 1] needs about 1e6 steps; the solve stops at
     # MAX_STEPS trial steps instead, for one system and for a batch
     y0 = np.ones(shape, dtype=complex)
     with pytest.raises(IntegrationError, match="step budget"):
-        solve(lambda t, y: 1e6j * y, 0.0, 1.0, y0, 1e-10, 1e-12)
+        dop853.solve(lambda t, y: 1e6j * y, 0.0, 1.0, y0, 1e-10, 1e-12)
 
 
 def test_chunks_keep_groups_whole(monkeypatch):

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sapsim
 from sapsim import config as cfgmod
 from sapsim import dark_state, eigensystem, hamiltonian_at
 from sapsim.cli import main
@@ -17,6 +20,11 @@ from conftest import COUNT_BOUNDS
 FAST = ["--override", "propagation.rtol=1e-8",
         "--override", "propagation.atol=1e-10",
         "--override", "propagation.samples=24"]
+
+
+# CLI subprocesses import the sapsim these tests import, installed or not
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(sapsim.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run(command, out, *extra):
@@ -234,7 +242,7 @@ def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sapsim", "propagate", "--out", str(tmp_path),
          *FAST],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 0
     assert (tmp_path / "propagate_summary.json").exists()
 
@@ -245,7 +253,8 @@ def run_bounded(command, out, *overrides):
     proc = subprocess.run(
         [sys.executable, "-m", "sapsim", command, "--out", str(out),
          *(arg for item in overrides for arg in ("--override", item))],
-        capture_output=True, text=True, timeout=30)
+        capture_output=True, text=True, timeout=30,
+        env=SUBPROCESS_ENV)
     assert time.monotonic() - start < 30.0
     assert "Traceback" not in proc.stderr
     return proc
@@ -306,6 +315,32 @@ def test_subnormal_couplings_exit_3(tmp_path, command):
     assert not any(tmp_path.iterdir())
 
 
+def test_farfield_without_emitted_light_exits_3(tmp_path):
+    # no coupling: all light stays in the central guide, which is left out
+    # of the emitters, so the far field is undefined
+    proc = run_bounded("farfield", tmp_path, "coupling.kappa_ref=0",
+                       "farfield.include_central_above=1")
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: all emitter amplitudes are "
+                           "zero at lam = ")
+    assert not (tmp_path / "farfield.csv").exists()
+
+
+def test_optimize_marks_zero_angle_invalid(tmp_path):
+    # alpha = 0 gives equal facet separations, which calibration rejects:
+    # those candidates are invalid rows, the rest of the grid still runs
+    proc = run_bounded("optimize", tmp_path, "design.alpha_min=0",
+                       "design.steps_separation=1",
+                       "design.steps_half_length=1", "design.band_points=3")
+    assert proc.returncode == 0, proc.stderr
+    header, rows = read_csv(tmp_path / "optimize.csv")
+    alpha, valid = rows[:, header.index("alpha_deg")], \
+        rows[:, header.index("valid")]
+    assert (alpha == 0).any() and (valid[alpha == 0] == 0).all()
+    assert (valid == 1).any()
+
+
 @pytest.mark.parametrize("key,overrides", [
     ("design.budget", ["design.budget=1"]),
     ("design.w_", [f"design.w_{name}=0" for name in
@@ -335,7 +370,8 @@ def test_import_does_not_load_the_integrator(tmp_path):
         "print('scipy.integrate' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=SUBPROCESS_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
     assert (tmp_path / "calibrate.json").exists()

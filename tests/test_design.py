@@ -40,12 +40,15 @@ class TestEvaluateCandidate:
             > full.objectives.worst_crosstalk_db
 
     def test_invalid_geometry_scores_infinite(self, cheap):
-        cand = evaluate_candidate(CandidateParams(0.2, 22.0, 7500.0, 0.15),
-                                  cheap)
-        assert not cand.valid
-        assert cand.score == math.inf
-        assert cand.objectives is None
-        assert cand.note != ""
+        # 0.2 deg: the guides cross; 0 deg: equal facet separations, which
+        # the decay-length calibration cannot fit
+        for alpha, note in ((0.2, ""), (0.0, "equal facet separations")):
+            cand = evaluate_candidate(CandidateParams(alpha, 22.0, 7500.0,
+                                                      0.15), cheap)
+            assert not cand.valid
+            assert cand.score == math.inf
+            assert cand.objectives is None
+            assert cand.note != "" and note in cand.note
 
     def test_deterministic(self, cheap):
         a = evaluate_candidate(REFERENCE_PARAMS, cheap)

@@ -67,7 +67,7 @@ def devices(draw):
 def test_matches_solve_ivp_bit_for_bit(device, lam, backward, dense, rtol,
                                        n_dense):
     layout, model = device
-    rhs = _rhs(layout, model, lam)
+    rhs = _rhs([layout], [model], [lam], UM_PER_MM)
     z_end_mm = layout.z_end_um / UM_PER_MM
     n = layout.n_guides
     y0 = np.zeros(n, dtype=complex)
@@ -79,7 +79,7 @@ def test_matches_solve_ivp_bit_for_bit(device, lam, backward, dense, rtol,
 
 
 def test_dense_samples_match_in_any_order(folded5_ref, model_ref):
-    rhs = _rhs(folded5_ref, model_ref, 1540.0)
+    rhs = _rhs([folded5_ref], [model_ref], [1540.0], UM_PER_MM)
     z_end_mm = folded5_ref.z_end_um / UM_PER_MM
     y0 = np.array([0, 0, 1, 0, 0], dtype=complex)
     ours, ref = both(rhs, 0.0, z_end_mm, y0, 1e-10, 1e-12, True)
@@ -102,7 +102,7 @@ def test_step_size_underflow_raises_with_scipy_message():
 
 
 def test_tiny_rtol_raised_to_floor_like_scipy(sap3_ref, model_sap3):
-    rhs = _rhs(sap3_ref, model_sap3, LAM0)
+    rhs = _rhs([sap3_ref], [model_sap3], [LAM0], UM_PER_MM)
     y0 = np.array([1, 0, 0], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -116,7 +116,8 @@ def test_tiny_rtol_raised_to_floor_like_scipy(sap3_ref, model_sap3):
 @pytest.mark.parametrize("kwargs", [
     dict(t0=1.0, t_bound=1.0, y0=[1j]),
     dict(t0=0.0, t_bound=1.0, y0=[np.nan]),
-    dict(t0=0.0, t_bound=1.0, y0=[[1j]]),
+    dict(t0=0.0, t_bound=1.0, y0=[[[1j]]]),
+    dict(t0=0.0, t_bound=1.0, y0=[[1j]], dense_output=True),
     dict(t0=0.0, t_bound=1.0, y0=[1j], atol=-1.0),
 ])
 def test_rejects_out_of_scope_input(kwargs):

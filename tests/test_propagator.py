@@ -9,7 +9,7 @@ from sapsim import (ArrayLayout, CouplingModel, IntegrationError, Kind,
                     build_folded5, build_layout, calibrated_model,
                     hamiltonian_at, nominal_input, propagate, propagate_oracle,
                     unit_state)
-from sapsim.propagator import _rhs
+from sapsim.propagator import UM_PER_MM, _rhs
 
 from conftest import (ANGLE, HALF_LENGTH, KAPPA_REF, LAM0, SEPARATION,
                       TARGET_RATIO, WIDTH)
@@ -84,19 +84,26 @@ class TestRhs:
     @pytest.mark.parametrize("layout_name", ["sap3_ref", "fsap3_ref",
                                              "folded5_ref"])
     def test_matches_dense_hamiltonian(self, request, layout_name):
+        # one system steps in mm (span 1 mm) with a 1-D state; a batch, of
+        # one member here, in u = z / z_end (span z_end) with a (1, n) state
         layout = request.getfixturevalue(layout_name)
         rng = np.random.default_rng(7)
         for lam, detuning in ((1500.0, 0.37), (1630.0, -1.2)):
             model = calibrated_model(layout, TARGET_RATIO, KAPPA_REF, LAM0,
                                      detuning=detuning)
-            rhs = _rhs(layout, model, lam)
-            for z in rng.uniform(0.0, layout.z_end_um, 25):
-                a = (rng.normal(size=layout.n_guides)
-                     + 1j * rng.normal(size=layout.n_guides))
-                expected = 1j * (hamiltonian_at(layout, model, z, lam).matrix @ a)
-                got = rhs(z / 1000.0, a)
-                assert np.max(np.abs(got - expected)) \
-                    <= 1e-14 * np.max(np.abs(expected))
+            for batched in (False, True):
+                span = layout.z_end_um if batched else UM_PER_MM
+                rhs = _rhs([layout], [model], [lam],
+                           np.array([[span]]) if batched else span)
+                for z in rng.uniform(0.0, layout.z_end_um, 25):
+                    a = (rng.normal(size=layout.n_guides)
+                         + 1j * rng.normal(size=layout.n_guides))
+                    H = hamiltonian_at(layout, model, z, lam).matrix
+                    expected = 1j * span / UM_PER_MM * (H @ a)
+                    got = rhs(z / span, a[None] if batched else a)
+                    assert got.shape == (a[None] if batched else a).shape
+                    assert np.max(np.abs(got.ravel() - expected)) \
+                        <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestPropagate:
