@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingModel
+from .errors import IntegrationError
 from .geometry import TOPOLOGY, ArrayLayout, Kind
 from .propagator import Hamiltonian, StateVector, coupling_chain, tridiagonal
 
@@ -46,20 +47,20 @@ def eigensystem(H, z_um: float = None) -> EigenSystem:
     return EigenSystem(w, V, z)
 
 
-def _dark_vectors(k: np.ndarray) -> np.ndarray:
+def _dark_vectors(k: np.ndarray, undefined=ValueError) -> np.ndarray:
     """Closed-form dark states (s, n) from nearest-neighbor couplings (s, n-1).
 
-    Raises ValueError unless n is 3 or 5, when both couplings vanish at a
-    sample, when a 5-guide sample lacks the mirror pattern
-    k34 = k23, k45 = k12 (to 1e-9 relative), or when a squared norm is not
-    a normal float (it overflows or underflows).
+    Raises ValueError unless n is 3 or 5, or when a 5-guide sample lacks the
+    mirror pattern k34 = k23, k45 = k12 (to 1e-9 relative); raises
+    ``undefined(reason)`` when both couplings vanish at a sample, or when a
+    squared norm is not a normal float (it overflows or underflows).
     """
     n = k.shape[-1] + 1
     if n not in (3, 5):
         raise ValueError(f"dark state defined for 3 or 5 guides, got {n}")
     k12, k23 = k[:, 0], k[:, 1]
     if np.any((k12 == 0.0) & (k23 == 0.0)):
-        raise ValueError("dark state undefined: all couplings are zero")
+        raise undefined("dark state undefined: all couplings are zero")
     zero = np.zeros_like(k12)
     if n == 3:
         v = np.stack([k23, zero, -k12], axis=1)
@@ -77,8 +78,8 @@ def _dark_vectors(k: np.ndarray) -> np.ndarray:
         # subnormal or inexact
         normal = np.isfinite(norm) & (norm * norm >= np.finfo(float).tiny)
     if not np.all(normal):
-        raise ValueError("dark state undefined: coupling norm is not a "
-                         "normal float")
+        raise undefined("dark state undefined: coupling norm is not a "
+                        "normal float")
     v /= norm
     return np.where(v[:, ref:ref + 1] < 0, -v, v)
 
@@ -122,15 +123,22 @@ def adiabaticity_margin(layout: ArrayLayout, model: CouplingModel, lam: float,
     sign-continuous in z) and differentiated by centered finite differences;
     end points use one-sided differences. Samples whose gap to the dark
     eigenvalue falls below 1e-12 are flagged and carry A = inf. All samples
-    are decomposed in one batched eigh call.
+    are decomposed in one batched eigh call. Raises IntegrationError naming
+    lam where the dark state is undefined (see ``_dark_vectors``) or the
+    sample spacing in mm is not a normal float.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     zs = np.linspace(0.0, layout.z_end_um, n_samples)
     dz_mm = (zs[1] - zs[0]) / 1000.0
+    if not dz_mm >= np.finfo(float).tiny:     # 2 / dz_mm must not overflow
+        raise IntegrationError(f"sample spacing {dz_mm} mm is not a normal "
+                               f"float at lam = {lam} nm")
     couplings, diagonal = coupling_chain([layout], [model], [lam])
-    k = couplings(zs[:, None])
-    darks = _dark_vectors(k)
+    with np.errstate(over="ignore", invalid="ignore"):    # checked next
+        k = couplings(zs[:, None])
+    darks = _dark_vectors(
+        k, lambda reason: IntegrationError(f"{reason} at lam = {lam} nm"))
     dpsi = np.gradient(darks, dz_mm, axis=0)
     w, V = np.linalg.eigh(tridiagonal(k, diagonal[0]))
 

@@ -4,8 +4,10 @@ Subcommands: propagate, sweep, farfield, optimize, darkstate, calibrate.
 Each reads an optional config (INI or JSON) plus repeatable
 ``--override section.key=value`` flags and writes CSV/JSON results into
 ``--out``. Outputs are deterministic: same config, byte-identical files.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 calibration
-failure.
+JSON outputs write null for an undefined number. Exit codes: 0 success,
+2 config error, 3 numerical failure, 4 calibration failure; the core
+raises each failure where it is detected, and ``main`` maps its type onto
+the exit code.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .analysis import adiabaticity_margin, split_report
-from .design import (ObjectiveConfig, ObjectiveWeights, ParameterBounds,
-                     grid_search, refine_local)
+from .design import grid_search, refine_local
 from .errors import CalibrationError, ConfigError, IntegrationError, SapsimError
 from .farfield import classify_fringe, facet_emitters, farfield_pattern
 from .propagator import propagate
@@ -45,9 +46,20 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _null_non_finite(obj):
+    """``obj`` with every NaN or infinite float replaced by None (null)."""
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_null_non_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8",
-                    newline="\n")
+    text = json.dumps(_null_non_finite(obj), indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def _report_dict(report) -> dict:
@@ -125,12 +137,8 @@ def cmd_farfield(cfg, out: Path) -> None:
     ff = cfg.farfield
     traj = propagate(layout, model, ff.wavelength, opts=opts)
     amps, pos = facet_emitters(traj.final, layout, ff.include_central_above)
-    try:
-        pattern = farfield_pattern(amps, pos, ff.wavelength, ff.waist,
-                                   ff.theta_max, ff.n_points)
-    except ValueError as exc:
-        # no light on the emitting guides (the config fixes the rest)
-        raise IntegrationError(f"{exc} at lam = {ff.wavelength} nm") from None
+    pattern = farfield_pattern(amps, pos, ff.wavelength, ff.waist,
+                               ff.theta_max, ff.n_points)
 
     _write_csv(out / "farfield.csv", ["theta_rad", "intensity"],
                list(zip(pattern.angles_rad, pattern.intensity)))
@@ -147,13 +155,8 @@ def cmd_farfield(cfg, out: Path) -> None:
 
 def cmd_darkstate(cfg, out: Path) -> None:
     layout, _, model = _load(cfg)
-    lam = cfg.propagation.wavelength
-    try:
-        profile = adiabaticity_margin(layout, model, lam,
-                                      cfg.propagation.samples)
-    except ValueError as exc:
-        # couplings that underflow to zero or overflow the norm
-        raise IntegrationError(f"{exc} at lam = {lam} nm") from None
+    profile = adiabaticity_margin(layout, model, cfg.propagation.wavelength,
+                                  cfg.propagation.samples)
 
     n = layout.n_guides
     header = ["z_um"] + [f"ev_{i}" for i in range(1, n + 1)] \
@@ -166,31 +169,7 @@ def cmd_darkstate(cfg, out: Path) -> None:
 
 def cmd_optimize(cfg, out: Path) -> None:
     d = cfg.design
-    objective = ObjectiveConfig(
-        weights=ObjectiveWeights(d.w_crosstalk, d.w_imbalance, d.w_length,
-                                 d.w_adiabaticity),
-        lam_min=cfg.sweep.lambda_min, lam_max=cfg.sweep.lambda_max,
-        n_points=d.band_points,
-        crosstalk_requirement_db=d.requirement_db,
-        width_um=cfg.geometry.width,
-        kappa_ref=(cfg.coupling.kappa_ref
-                   if cfg.coupling.kappa_ref != cfgmod.AUTO
-                   else cfgmod.DEFAULT_KAPPA_REF),
-        lambda0=cfg.coupling.lambda0, rho=cfg.coupling.rho,
-        detuning=cfg.coupling.detuning,
-        options=cfgmod.propagation_options(cfg),
-    )
-    bounds = ParameterBounds(
-        alpha_deg=(d.alpha_min, d.alpha_max),
-        separation_um=(d.separation_min, d.separation_max),
-        half_length_um=(d.half_length_min, d.half_length_max),
-        target_ratio=(d.ratio_min, d.ratio_max),
-    )
-    steps = (d.steps_alpha, d.steps_separation, d.steps_half_length,
-             d.steps_ratio)
-    if math.prod(steps) > d.budget:
-        raise ConfigError(f"design.budget: grid of {math.prod(steps)} points "
-                          f"exceeds budget {d.budget}")
+    bounds, steps, objective = cfgmod.objective_from(cfg)
     ranked = grid_search(bounds, steps, objective, budget=d.budget)
     best = ranked[0]
     if d.refine_iters > 0 and best.valid:

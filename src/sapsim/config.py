@@ -19,6 +19,7 @@ from .geometry import GeometrySpec, Kind, build_layout
 from .propagator import PropagationOptions
 from .coupling import (CouplingModel, calibrate_strength, calibrated_model,
                        facet_separations)
+from .design import ObjectiveConfig, ObjectiveWeights, ParameterBounds
 
 AUTO = "auto"
 
@@ -328,6 +329,39 @@ def model_from(cfg: RunConfig, layout, opts: PropagationOptions = None):
             kappa_min=c.kappa_min, kappa_max=c.kappa_max,
             resolution=c.resolution, opts=opts or propagation_options(cfg))
     return build(float(kappa_ref))
+
+
+def objective_from(cfg: RunConfig):
+    """``(bounds, steps, objective)`` of the design search per config.
+
+    kappa_ref = auto scores at DEFAULT_KAPPA_REF (the search holds the
+    coupling strength fixed). Raises ConfigError when the grid exceeds
+    design.budget.
+    """
+    d, c = cfg.design, cfg.coupling
+    steps = (d.steps_alpha, d.steps_separation, d.steps_half_length,
+             d.steps_ratio)
+    if math.prod(steps) > d.budget:
+        raise ConfigError(f"design.budget: grid of {math.prod(steps)} points "
+                          f"exceeds budget {d.budget}")
+    bounds = ParameterBounds(
+        alpha_deg=(d.alpha_min, d.alpha_max),
+        separation_um=(d.separation_min, d.separation_max),
+        half_length_um=(d.half_length_min, d.half_length_max),
+        target_ratio=(d.ratio_min, d.ratio_max),
+    )
+    objective = ObjectiveConfig(
+        weights=ObjectiveWeights(d.w_crosstalk, d.w_imbalance, d.w_length,
+                                 d.w_adiabaticity),
+        lam_min=cfg.sweep.lambda_min, lam_max=cfg.sweep.lambda_max,
+        n_points=d.band_points,
+        crosstalk_requirement_db=d.requirement_db,
+        width_um=cfg.geometry.width,
+        kappa_ref=DEFAULT_KAPPA_REF if c.kappa_ref == AUTO else c.kappa_ref,
+        lambda0=c.lambda0, rho=c.rho, detuning=c.detuning,
+        options=propagation_options(cfg),
+    )
+    return bounds, steps, objective
 
 
 def propagation_options(cfg: RunConfig) -> PropagationOptions:

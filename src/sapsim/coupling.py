@@ -25,6 +25,10 @@ from .geometry import ArrayLayout
 # Grid points of calibrate_strength propagated per batch. The default
 # search finds its point near the 59th, in the second chunk.
 CALIBRATION_CHUNK = 32
+# Most grid points calibrate_strength accepts; a full scan of this many
+# takes about 10 s on a 2-core host (with resolution 0.0012 from 0.05 to
+# 20 /mm and an unreachable target). The default grid has 303.
+CALIBRATION_MAX_POINTS = 5000
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,8 @@ def calibrate_decay(layout: ArrayLayout, target_ratio: float, lam0: float) -> fl
 
     Closed form: delta0 = (d_far(0) - d_near(0)) / ln(1 / target_ratio),
     unique because the ratio identity kappa(d1)/kappa(d2) =
-    exp((d2 - d1)/delta) is independent of kappa_ref.
+    exp((d2 - d1)/delta) is independent of kappa_ref. Raises
+    CalibrationError when the result is not a positive finite length.
     """
     if not 0 < target_ratio < 1:
         raise CalibrationError("target_ratio must lie in (0, 1)")
@@ -106,7 +111,11 @@ def calibrate_decay(layout: ArrayLayout, target_ratio: float, lam0: float) -> fl
         raise CalibrationError(
             "degenerate geometry: equal facet separations admit no decay length"
         )
-    return (d_far - d_near) / math.log(1.0 / target_ratio)
+    delta0 = (d_far - d_near) / math.log(1.0 / target_ratio)
+    if not 0 < delta0 < math.inf:
+        raise CalibrationError(f"target_ratio {target_ratio} gives decay "
+                               f"length {delta0} um")
+    return delta0
 
 
 def calibrated_model(layout: ArrayLayout, target_ratio: float, kappa_ref: float,
@@ -133,7 +142,9 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
     the first contiguous passing run. The grid is scanned in chunks of
     CALIBRATION_CHUNK points, each propagated as one batch, and the scan
     stops after the first chunk that holds a pass. Raises CalibrationError
-    with the scanned diagnostic curve attached if no grid point passes.
+    with the scanned diagnostic curve attached if no grid point passes, and
+    before scanning if the grid cannot grow or holds more than
+    CALIBRATION_MAX_POINTS points.
     """
     from .analysis import split_report
     from .propagator import batch_finals, propagate
@@ -144,6 +155,16 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
         raise CalibrationError("need 0 < kappa_min < kappa_max")
     if resolution <= 0 or resolution > 0.02 + 1e-12:
         raise CalibrationError("grid resolution must be in (0, 0.02]")
+    if kappa_min * (1.0 + resolution) == kappa_min:
+        raise CalibrationError(f"grid from kappa_min = {kappa_min} 1/mm by "
+                               f"resolution {resolution} cannot grow")
+    n_points = 1 + (math.log(kappa_max) - math.log(kappa_min)) \
+        / math.log1p(resolution)
+    if n_points > CALIBRATION_MAX_POINTS:
+        raise CalibrationError(
+            f"grid from kappa_min = {kappa_min} to kappa_max = {kappa_max} "
+            f"1/mm at resolution {resolution} has {n_points:.3g} points, "
+            f"more than {CALIBRATION_MAX_POINTS}")
 
     grid, curve = [], []
     k = kappa_min

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import adiabaticity_margin
 from .coupling import calibrated_model
-from .errors import CalibrationError, GeometryError, IntegrationError
+from .errors import CalibrationError, GeometryError
 from .geometry import GeometrySpec, Kind, build_layout
 from .propagator import PropagationOptions
 from .spectral import sweep_designs
@@ -149,18 +149,13 @@ def _evaluate(points, config: ObjectiveConfig) -> list:
                             for i, _, _ in valid])
     for (i, layout, model), curve in zip(valid, curves):
         imbalance = max(abs(r.fractions[0] - 0.5) for r in curve.reports)
-        try:
-            margin = adiabaticity_margin(layout, model, config.lambda0,
-                                         config.margin_samples).max_value
-        except ValueError as exc:
-            # couplings that underflow to zero or whose norm is not normal
-            raise IntegrationError(f"{exc} at lam = {config.lambda0} nm") \
-                from None
         objectives = Objectives(
             worst_crosstalk_db=curve.summary.worst_crosstalk_db,
             band_imbalance=imbalance,
             device_length_um=layout.z_end_um,
-            max_adiabaticity=margin,
+            max_adiabaticity=adiabaticity_margin(
+                layout, model, config.lambda0,
+                config.margin_samples).max_value,
         )
         candidates[i] = DesignCandidate(points[i], objectives,
                                         _score(objectives, config), True)

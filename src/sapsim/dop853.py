@@ -83,7 +83,8 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # seconds, instead of running for hours.
 MAX_STEPS = 5_000
 # A trial step that overflows gets a non-finite error norm and is rejected
-# until the step underflows (IntegrationError), so numpy need not warn.
+# until the step underflows (IntegrationError), so numpy need not warn
+# anywhere in a solve (dense-output stages included).
 _TRIAL_ERRSTATE = dict(over="ignore", divide="ignore", invalid="ignore")
 
 N_STAGES = 12
@@ -479,22 +480,21 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
         (_batch_initial_step, _batch_error_norm, _row_sum) if batched
         else (_initial_step, _error_norm, _dot))
     direction = np.sign(t_bound - t0)
-    f = counted(t0, y)
     with np.errstate(**_TRIAL_ERRSTATE):
+        f = counted(t0, y)
         h_abs = initial_step(counted, t0, y, t_bound, f, direction, rtol, atol)
-    K_extended = np.empty((N_STAGES_EXTENDED,) + y.shape, dtype=y.dtype)
-    K = K_extended[:N_STAGES + 1]
+        K_extended = np.empty((N_STAGES_EXTENDED,) + y.shape, dtype=y.dtype)
+        K = K_extended[:N_STAGES + 1]
 
-    t = t0
-    n_trials = 0
-    ts, ys, Fs = [t0], [y], []
-    while True:
-        # one accepted step (scipy's RungeKutta._step_impl)
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        step_rejected = False
-        with np.errstate(**_TRIAL_ERRSTATE):
+        t = t0
+        n_trials = 0
+        ts, ys, Fs = [t0], [y], []
+        while True:
+            # one accepted step (scipy's RungeKutta._step_impl)
+            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+            if h_abs < min_step:
+                h_abs = min_step
+            step_rejected = False
             while True:
                 if h_abs < min_step:
                     raise IntegrationError(TOO_SMALL_STEP)
@@ -531,23 +531,24 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
                 h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
                 step_rejected = True
 
-        if dense_output:
-            # scipy's DOP853._dense_output_impl, for the step just taken
-            _stages(counted, t, y, h, K_extended, _EXTRA_STAGES, N_STAGES + 1)
-            F = np.empty((INTERPOLATOR_POWER, y.size), dtype=y.dtype)
-            f_old = K_extended[0]
-            delta_y = y_new - y
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f_new + f_old)
-            F[3:] = h * np.dot(_D, K_extended)
-            Fs.append(F)
+            if dense_output:
+                # scipy's DOP853._dense_output_impl, for the step just taken
+                _stages(counted, t, y, h, K_extended, _EXTRA_STAGES,
+                        N_STAGES + 1)
+                F = np.empty((INTERPOLATOR_POWER, y.size), dtype=y.dtype)
+                f_old = K_extended[0]
+                delta_y = y_new - y
+                F[0] = delta_y
+                F[1] = h * f_old - delta_y
+                F[2] = 2 * delta_y - h * (f_new + f_old)
+                F[3:] = h * np.dot(_D, K_extended)
+                Fs.append(F)
 
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        if direction * (t - t_bound) >= 0:
-            break
+            t, y, f = t_new, y_new, f_new
+            ts.append(t)
+            ys.append(y)
+            if direction * (t - t_bound) >= 0:
+                break
 
     ts, ys = np.array(ts), np.array(ys)
     sol = DenseOutput(ts, ys, np.array(Fs)) if dense_output else None

@@ -20,7 +20,8 @@ class ConfigError(SapsimError):
 
 
 class IntegrationError(SapsimError):
-    """The ODE integrator failed (step-size underflow, divergence)."""
+    """A numerical failure: the integrator failed, or a derived quantity
+    (a dark state, a far field) is undefined."""
 
 
 class CalibrationError(SapsimError):

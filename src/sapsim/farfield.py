@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import IntegrationError
 from .geometry import ArrayLayout
 from .propagator import StateVector
 
@@ -47,7 +48,12 @@ def farfield_pattern(amplitudes, positions_um, wavelength_nm: float,
                      theta_max_rad: float = 0.15,
                      n_points: int = 2001) -> FarFieldPattern:
     """Interferogram of point emitters at ``positions_um`` with complex
-    ``amplitudes`` on a symmetric angle grid."""
+    ``amplitudes`` on a symmetric angle grid.
+
+    Raises ValueError for inputs outside that scope, and IntegrationError
+    when the wavelength is 0 um in floating point or the pattern is not
+    finite, or zero at every grid angle (the envelope underflows).
+    """
     a = np.asarray(amplitudes, dtype=complex)
     x = np.asarray(positions_um, dtype=float)
     if a.shape != x.shape or a.ndim != 1 or a.size < 2:
@@ -60,12 +66,20 @@ def farfield_pattern(amplitudes, positions_um, wavelength_nm: float,
         raise ValueError("n_points must be at least 3")
 
     lam_um = wavelength_nm / 1000.0
+    if lam_um == 0.0:
+        raise IntegrationError(f"wavelength {wavelength_nm} nm is 0 um in "
+                               "floating point")
     theta = np.linspace(-theta_max_rad, theta_max_rad, n_points)
     sin_t = np.sin(theta)
-    carrier = np.abs(np.exp(1j * (2 * np.pi / lam_um) * np.outer(sin_t, x)) @ a) ** 2
-    envelope = np.exp(-2.0 * (np.pi * mode_waist_um * sin_t / lam_um) ** 2)
-    raw = carrier * envelope
-
+    # an envelope exponent that overflows is exp(-inf) = 0, the limit; a
+    # phase that overflows leaves NaN, checked next
+    with np.errstate(over="ignore", invalid="ignore"):
+        carrier = np.abs(np.exp(1j * (2 * np.pi / lam_um) * np.outer(sin_t, x)) @ a) ** 2
+        envelope = np.exp(-2.0 * (np.pi * mode_waist_um * sin_t / lam_um) ** 2)
+        raw = carrier * envelope
+    if not (raw.max() > 0 and np.isfinite(raw).all()):
+        raise IntegrationError("far field is not finite, or zero at every grid "
+                               f"angle, at lam = {wavelength_nm} nm")
     coherent_bound = float(np.sum(np.abs(a))) ** 2
     contrast = float(np.abs(np.sum(a)) ** 2 / coherent_bound)
     intensity = raw / raw.max()
@@ -105,7 +119,8 @@ def facet_emitters(state: StateVector, layout: ArrayLayout,
     emitter when its power fraction exceeds the cutoff (the ideal output
     keeps a percent-level residual there which barely moves the pattern,
     but a poorly adiabatic device's residual must show up).
-    Returns (amplitudes, positions_um) ordered by position.
+    Returns (amplitudes, positions_um) ordered by position; raises
+    IntegrationError, naming the wavelength, if fewer than two carry light.
     """
     powers = state.powers()
     fractions = powers / powers.sum()
@@ -114,5 +129,8 @@ def facet_emitters(state: StateVector, layout: ArrayLayout,
         labels.append(layout.central_label)
     labels.sort(key=lambda lab: layout.position(lab, layout.z_end_um))
     amps = np.array([state.amplitudes[lab - 1] for lab in labels])
+    if np.count_nonzero(amps) < 2:
+        raise IntegrationError("fewer than two emitters carry light at lam = "
+                               f"{state.wavelength_nm} nm")
     pos = np.array([layout.position(lab, layout.z_end_um) for lab in labels])
     return amps, pos

@@ -173,7 +173,8 @@ def _rhs(layouts, models, lams, span_um):
     """
     couplings, diagonal = coupling_chain(layouts, models, lams)
     z_end_um = np.array([[lay.z_end_um] for lay in layouts])
-    ends = np.hstack([couplings(0.0), couplings(z_end_um), diagonal])
+    with np.errstate(over="ignore", invalid="ignore"):    # checked next
+        ends = np.hstack([couplings(0.0), couplings(z_end_um), diagonal])
     finite = np.isfinite(ends).all(axis=1)
     if not finite.all():
         lam = lams[np.argmin(finite)]
@@ -265,11 +266,15 @@ def _solve(layout: ArrayLayout, model: CouplingModel, lam: float, a0,
            opts: PropagationOptions, backward=False, dense=False):
     """DOP853 (``dop853.solve``, bit-identical to scipy's ``solve_ivp``)
     over the device, from z_end back to 0 when ``backward``. Raises
-    IntegrationError for a non-finite H or start state or a step underflow."""
+    IntegrationError for a non-finite H or start state, a device length
+    that underflows to 0 mm, or a step underflow."""
     rhs = _rhs([layout], [model], [lam], UM_PER_MM)
     if not np.all(np.isfinite(a0)):
         raise IntegrationError(f"non-finite input state at lam = {lam} nm")
     z_end_mm = layout.z_end_um / UM_PER_MM
+    if z_end_mm == 0.0:
+        raise IntegrationError(f"device length {layout.z_end_um} um is 0 mm "
+                               f"in floating point at lam = {lam} nm")
     t0, t1 = (z_end_mm, 0.0) if backward else (0.0, z_end_mm)
     try:
         return dop853.solve(rhs, t0, t1, a0, opts.rtol, opts.atol,

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sapsim import (ArrayLayout, CouplingModel, GeometryError, GeometrySpec,
-                    Kind, StateVector, WaveguidePath, adiabaticity_margin,
+                    IntegrationError, Kind, StateVector, WaveguidePath, adiabaticity_margin,
                     build_folded5, build_layout, calibrated_model, dark_state,
                     eigensystem, hamiltonian_at, loss_corrected_transfer,
                     propagate, split_report, unit_state)
@@ -226,7 +226,8 @@ class TestBatchedMargin:
         model = calibrated_model(folded5_ref, TARGET_RATIO, 0.0, LAM0)
         with pytest.raises(ValueError, match="all couplings are zero"):
             per_sample_margin(folded5_ref, model, LAM0, 11)
-        with pytest.raises(ValueError, match="all couplings are zero"):
+        with pytest.raises(IntegrationError,
+                           match="all couplings are zero at lam = 1550.0 nm"):
             adiabaticity_margin(folded5_ref, model, LAM0, 11)
 
     def test_broken_mirror_raises_like_dark_state(self):

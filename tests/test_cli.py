@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import sapsim
 from sapsim import config as cfgmod
@@ -316,15 +320,121 @@ def test_subnormal_couplings_exit_3(tmp_path, command):
 
 
 def test_farfield_without_emitted_light_exits_3(tmp_path):
-    # no coupling: all light stays in the central guide, which is left out
-    # of the emitters, so the far field is undefined
-    proc = run_bounded("farfield", tmp_path, "coupling.kappa_ref=0",
-                       "farfield.include_central_above=1")
-    assert proc.returncode == 3
+    # no coupling: all light stays in the central guide, which is either
+    # left out of the emitters or (above the default cutoff) the only lit
+    # one; no split, so no far field is classified
+    for cutoff in ("1", "0.05"):
+        proc = run_bounded("farfield", tmp_path, "coupling.kappa_ref=0",
+                           f"farfield.include_central_above={cutoff}")
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line == ("numerical failure: fewer than two emitters carry "
+                        "light at lam = 1560.0 nm")
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("override", ["coupling.resolution=1e-9",
+                                      "coupling.resolution=5e-324",
+                                      "coupling.kappa_min=5e-324"])
+def test_calibration_grid_faults_exit_4(tmp_path, override):
+    # a grid of about 6e9 points, or one whose points cannot grow: rejected
+    # before the scan instead of scanning for hours or forever
+    proc = run_bounded("calibrate", tmp_path, override)
+    assert proc.returncode == 4
     [line] = proc.stderr.splitlines()
-    assert line.startswith("numerical failure: all emitter amplitudes are "
-                           "zero at lam = ")
-    assert not (tmp_path / "farfield.csv").exists()
+    assert line.startswith("calibration failure: grid from kappa_min = ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["propagate", "sweep", "farfield",
+                                     "darkstate", "calibrate"])
+def test_underflowing_target_ratio_exits_4(tmp_path, capsys, command):
+    # 1 / target_ratio overflows, so the decay length would be 0 um
+    # (optimize takes its ratios from design.ratio_min/max instead)
+    assert main([command, "--out", str(tmp_path),
+                 "--override", "coupling.target_ratio=5e-324"]) == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("calibration failure: target_ratio 5e-324 gives decay "
+                    "length 0.0 um")
+    assert not any(tmp_path.iterdir())
+
+
+def test_device_shorter_than_a_float_mm_exits_3(tmp_path, capsys):
+    # z_end = 1e-323 um is 0 mm: the one-system solve has no span
+    assert run("propagate", tmp_path, "--override", "coupling.delta_decay=4",
+               "--override", "geometry.half_length=5e-324") == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical failure: device length 1e-323 um is "
+                           "0 mm")
+    assert not any(tmp_path.iterdir())
+
+
+def run_recording(command, out, capsys, *overrides):
+    """Run the CLI in-process; return the exit code and the stderr lines,
+    each warning counted as the line it would print."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--out", str(out),
+                     *(arg for item in overrides
+                       for arg in ("--override", item))])
+    lines = capsys.readouterr().err.splitlines()
+    return code, lines + [f"{w.category.__name__}: {w.message}"
+                          for w in caught]
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("propagate", ["coupling.delta_decay=5e-324"]),
+    ("propagate", ["coupling.delta_decay=1e-300"]),
+    ("sweep", ["coupling.delta_decay=5e-324"]),
+    ("sweep", ["coupling.delta_decay=1e-300"]),
+    ("darkstate", ["coupling.delta_decay=5e-324"]),
+    ("darkstate", ["coupling.delta_decay=1e-300"]),
+    # overflows in the dense-output stages
+    ("propagate", ["coupling.detuning=-1e300", "coupling.target_ratio=1e-300"]),
+])
+def test_overflow_fails_without_warnings(tmp_path, capsys, command,
+                                         overrides):
+    code, lines = run_recording(command, tmp_path, capsys, *overrides)
+    assert code == 3
+    [line] = lines
+    assert line.startswith("numerical failure: ")
+
+
+def test_huge_waist_runs_without_warnings(tmp_path, capsys):
+    assert run_recording("farfield", tmp_path, capsys,
+                         "farfield.waist=1e300") == (0, [])
+
+
+def strict_json(path):
+    """The JSON file at ``path``; NaN or Infinity in it fails the test."""
+    def reject(constant):
+        raise AssertionError(f"{path.name} holds non-standard {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("command,overrides,name,field,expected", [
+    # no light reaches the outputs: their power split is undefined
+    ("propagate", ["coupling.kappa_ref=0"], "propagate_summary.json",
+     ("final", "pair_fractions"), [None, None]),
+    ("sweep", ["coupling.kappa_ref=0"], "sweep_summary.json",
+     ("mean_pair_fractions",), [None, None]),
+    # fewer than two maxima on a narrow angle grid
+    ("farfield", ["farfield.theta_max=1e-4"], "farfield_summary.json",
+     ("fringe_spacing_rad",), None),
+    # every candidate invalid: the best scores infinite
+    ("optimize", ["design.alpha_min=0", "design.alpha_max=0",
+                  "design.steps_alpha=1"], "optimize_best.json",
+     ("score",), None),
+])
+def test_undefined_numbers_are_json_null(tmp_path, command, overrides, name,
+                                         field, expected):
+    assert main([command, "--out", str(tmp_path),
+                 *(arg for item in overrides
+                   for arg in ("--override", item))]) == 0
+    value = strict_json(tmp_path / name)
+    for key in field:
+        value = value[key]
+    assert value == expected
 
 
 def test_optimize_marks_zero_angle_invalid(tmp_path):
@@ -413,3 +523,67 @@ def test_darkstate_needs_coupling(tmp_path, capsys):
     assert run("darkstate", tmp_path, "--override", "coupling.kappa_ref=0") == 2
     assert capsys.readouterr().err.startswith(
         "config error: coupling.kappa_ref:")
+
+
+COMMANDS = ["propagate", "sweep", "farfield", "darkstate", "optimize",
+            "calibrate"]
+# NaN, +-inf, booleans and over-bound counts have their own tests above
+FUZZ_VALUES = ["0", "-1", "5e-324", "1e-300", "1e300", "-1e300"]
+# the one warning a run may print: an rtol below 100 eps is raised to it
+RTOL_WARNING = "UserWarning: rtol too small"
+
+# Inputs that once ended in a traceback, a hang, a warning on stderr, a
+# misclassified far field or non-standard JSON; each runs on every pass.
+NAMED_INPUTS = [
+    ("farfield", ["coupling.kappa_ref=0"]),
+    ("farfield", ["coupling.kappa_ref=0", "farfield.include_central_above=1"]),
+    ("calibrate", ["coupling.resolution=1e-9"]),
+    ("calibrate", ["coupling.resolution=5e-324"]),
+    ("calibrate", ["coupling.kappa_min=5e-324"]),
+    *((command, ["coupling.target_ratio=5e-324"]) for command in COMMANDS),
+    ("propagate", ["coupling.delta_decay=4", "geometry.half_length=5e-324"]),
+    ("sweep", ["coupling.delta_decay=4", "geometry.half_length=5e-324"]),
+    *((command, [f"coupling.delta_decay={value}"])
+      for command in ("propagate", "sweep", "darkstate")
+      for value in ("5e-324", "1e-300")),
+    ("propagate", ["coupling.detuning=-1e300", "coupling.target_ratio=1e-300"]),
+    ("farfield", ["farfield.waist=1e300"]),
+    ("propagate", ["coupling.kappa_ref=0"]),
+    ("sweep", ["coupling.kappa_ref=0"]),
+    ("farfield", ["farfield.theta_max=1e-4"]),
+    ("optimize", ["design.alpha_min=0", "design.alpha_max=0",
+                  "design.steps_alpha=1"]),
+    ("darkstate", ["geometry.half_length=5e-324",
+                   "coupling.delta_decay=5e-324"]),
+    ("farfield", ["farfield.wavelength=5e-324", "coupling.rho=0"]),
+    ("farfield", ["farfield.waist=1e5", "farfield.n_points=4"]),
+]
+
+
+def with_named_inputs(test):
+    for command, overrides in NAMED_INPUTS:
+        test = example(command=command, overrides=overrides)(test)
+    return test
+
+
+@with_named_inputs
+@given(command=st.sampled_from(COMMANDS),
+       overrides=st.lists(st.tuples(st.sampled_from(NUMERIC_KEYS),
+                                    st.sampled_from(FUZZ_VALUES)),
+                          min_size=1, max_size=2, unique_by=lambda kv: kv[0])
+       .map(lambda pairs: [f"{key}={value}" for key, value in pairs]))
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_input_ends_in_a_documented_exit(capsys, command, overrides):
+    # exit 0/2/3/4 within 30 s, no traceback (an exception escaping main
+    # fails the test), one stderr line on failure, none on success, and
+    # standard JSON
+    with tempfile.TemporaryDirectory() as out:
+        start = time.monotonic()
+        code, lines = run_recording(command, out, capsys, *overrides)
+        assert time.monotonic() - start < 30.0
+        assert code in (0, 2, 3, 4)
+        lines = [line for line in lines if not line.startswith(RTOL_WARNING)]
+        assert len(lines) == (code != 0), lines
+        for path in Path(out).glob("*.json"):
+            strict_json(path)

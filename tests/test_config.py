@@ -12,7 +12,7 @@ from sapsim import (ConfigError, CouplingModel, Kind, ObjectiveConfig,
                     grid_search)
 from sapsim.config import (DEFAULT_KAPPA_REF, SECTIONS, RunConfig,
                            geometry_spec, layout_from, load_config, model_from,
-                           propagation_options)
+                           objective_from, propagation_options)
 
 from conftest import COUNT_BOUNDS
 
@@ -217,6 +217,20 @@ class TestBuilders:
         layout = layout_from(cfg)
         model = model_from(cfg, layout)
         assert model.kappa_ref == 0.3   # any coupling meets a 0 dB target
+
+    def test_objective_from(self):
+        cfg = load_config(None, ["coupling.kappa_ref=auto",
+                                 "design.steps_ratio=2", "design.ratio_max=0.2",
+                                 "propagation.rtol=1e-9"])
+        bounds, steps, objective = objective_from(cfg)
+        assert steps == (5, 5, 5, 2)
+        assert bounds.target_ratio == (0.15, 0.2)
+        assert objective.kappa_ref == DEFAULT_KAPPA_REF   # auto: shipped point
+        assert objective.options == propagation_options(cfg)
+        assert objective == ObjectiveConfig(options=objective.options)
+        cfg = load_config(None, ["design.budget=249", "design.steps_ratio=2"])
+        with pytest.raises(ConfigError, match="design.budget: grid of 250"):
+            objective_from(cfg)
 
     def test_propagation_options(self):
         cfg = load_config(None, ["propagation.rtol=1e-9",

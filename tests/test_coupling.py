@@ -9,6 +9,7 @@ from sapsim import (CalibrationError, CouplingModel, IntegrationError,
                     build_sap3, calibrate_decay, calibrate_strength,
                     calibrated_model, dop853, nominal_input, propagate,
                     propagator, split_report)
+from sapsim.coupling import CALIBRATION_MAX_POINTS
 
 from conftest import (D_NEAR, DELTA0, HALF_LENGTH, LAM0, LATERAL_TRAVEL,
                       SEPARATION, TARGET_RATIO, WIDTH)
@@ -104,7 +105,8 @@ class TestCalibrateDecay:
         with pytest.raises(CalibrationError):
             calibrate_decay(flat, TARGET_RATIO, LAM0)
 
-    @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.2, 1.5])
+    # 5e-324: 1 / ratio overflows, so the closed form would give 0 um
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.2, 1.5, 5e-324])
     def test_ratio_domain(self, folded5_ref, ratio):
         with pytest.raises(CalibrationError):
             calibrate_decay(folded5_ref, ratio, LAM0)
@@ -168,3 +170,19 @@ class TestCalibrateStrength:
                                kappa_max=1.0)
         with pytest.raises(CalibrationError):
             calibrate_strength(folded5_ref, base, LAM0, -20.0, resolution=0.5)
+        # grids whose points cannot grow
+        for kwargs in ({"kappa_min": 5e-324}, {"resolution": 5e-324},
+                       {"resolution": 1e-17}):
+            with pytest.raises(CalibrationError, match="cannot grow"):
+                calibrate_strength(folded5_ref, base, LAM0, 0.0, **kwargs)
+
+    def test_grid_point_cap(self, folded5_ref, base, fast_opts):
+        # a 0 dB target passes at the first point, so only the cap can fail
+        cap = CALIBRATION_MAX_POINTS
+        under = 0.05 * 1.02 ** (cap - 2)
+        assert calibrate_strength(folded5_ref, base, LAM0, 0.0,
+                                  kappa_max=under, opts=fast_opts) == 0.05
+        for kwargs in ({"kappa_max": 0.05 * 1.02 ** cap},
+                       {"resolution": 1e-9}):
+            with pytest.raises(CalibrationError, match=f"more than {cap}"):
+                calibrate_strength(folded5_ref, base, LAM0, 0.0, **kwargs)

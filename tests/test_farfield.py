@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sapsim import (FarFieldPattern, Fringe, classify_fringe, facet_emitters,
-                    farfield_pattern, nominal_input, propagate)
+from sapsim import (FarFieldPattern, Fringe, IntegrationError, classify_fringe,
+                    facet_emitters, farfield_pattern, nominal_input, propagate,
+                    unit_state)
 
 D_OUT = 44.0          # output-pair distance of the reference splitter (um)
 
@@ -77,6 +79,24 @@ class TestPattern:
         assert base.central_contrast == pytest.approx(moved.central_contrast,
                                                       abs=1e-12)
 
+    def test_huge_waist_is_silent(self):
+        # the envelope's exponent overflows to -inf: exp(-inf) = 0 off axis
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pattern = two_emitters(0.0, mode_waist_um=1e300)
+        assert pattern.intensity[len(pattern.intensity) // 2] == 1.0
+
+    @pytest.mark.parametrize("kwargs,message", [
+        # no grid angle on the axis, and the envelope is 0 at all others
+        ({"mode_waist_um": 1e5, "n_points": 4}, "zero at every grid angle"),
+        # the phases overflow
+        ({"lam": 1e-304}, "not finite"),
+        ({"lam": 5e-324}, "is 0 um in floating point"),
+    ])
+    def test_undefined_pattern_raises(self, kwargs, message):
+        with pytest.raises(IntegrationError, match=message):
+            two_emitters(0.0, **kwargs)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             farfield_pattern(np.zeros(2, complex), np.array([0.0, 44.0]), 1560.0)
@@ -127,6 +147,15 @@ class TestFacetEmitters:
         assert len(pos) == 3
         assert pos[0] == 0.0 and pos[2] == 22.0
         assert 10.0 < pos[1] < 12.0
+
+
+    def test_unsplit_output_raises(self, folded5_ref):
+        # all light left in the central guide: one lit emitter, no fringes
+        state = unit_state(5, 3, 1560.0, folded5_ref.z_end_um)
+        for cutoff in (0.05, 1.0):
+            with pytest.raises(IntegrationError, match="fewer than two "
+                               "emitters carry light at lam = 1560.0 nm"):
+                facet_emitters(state, folded5_ref, cutoff)
 
 
 class TestEndToEndClassification:
