@@ -21,6 +21,17 @@ not bit-identical to anything; they differ from per-system solves by
 roundoff at the tolerance level. Every solve stops with IntegrationError
 after MAX_STEPS trial steps.
 
+A batch step costs a few numpy calls per stage, whatever the batch size.
+The weights of stages 1-11, of the new state and of the two error
+estimates form one 14-row table whose nonzero rows in each column are
+one contiguous run (_COLUMNS), so each stage enters every later sum in one
+in-place multiply-add as soon as it is known. Each sum still gets its
+terms element by element, in order of stage and without the zero
+weights, so a member's arithmetic does not depend on the others, and no
+BLAS call is made (see _batch_trial_step). The 12 evaluation points of a
+trial step are known when it starts, so ``fun`` takes them all at once
+and can do its point-dependent work (sapsim's couplings) in one call.
+
 Method: E. Hairer, S. P. Norsett, G. Wanner, "Solving Ordinary
 Differential Equations I: Nonstiff Problems", Sec. II.4-II.6 (step
 control, initial step, dense output of DOP853).
@@ -282,6 +293,30 @@ _D[3, 15] = -0.14972683625798562581422125276e+3
 _STAGES = tuple(zip(_A[:N_STAGES, :N_STAGES][1:], _C[:N_STAGES][1:]))
 _EXTRA_STAGES = tuple(zip(_A[N_STAGES + 1:], _C[N_STAGES + 1:]))
 
+# The batch scope's running sums, one row each: the increments of stages
+# 1-11, the new state (B) and the two error estimates (E5, E3). Column j
+# holds the weights of stage j; its nonzero rows form one contiguous run
+# (74 weights in all), so one operation adds a stage to every sum it enters.
+_SUMS = np.vstack([_A[1:N_STAGES, :N_STAGES], _B, _E5[:N_STAGES],
+                   _E3[:N_STAGES]])
+_ROW_B, _ROW_E5, _ROW_E3 = N_STAGES - 1, N_STAGES, N_STAGES + 1
+
+
+def _column_runs(table):
+    """(lo, hi, weights) per column: rows lo:hi hold its nonzero weights,
+    shaped (hi - lo, 1, 1) to scale a (B, n) stage. They are stored as
+    complex, as numpy would cast them on every use (that cast halves the
+    speed of the multiply-add at 666 members); the values are exact."""
+    runs = []
+    for column in table.T:
+        rows = np.flatnonzero(column)
+        lo, hi = rows[0], rows[-1] + 1
+        runs.append((lo, hi, column[lo:hi, None, None].astype(complex)))
+    return tuple(runs)
+
+
+_COLUMNS = _column_runs(_SUMS)
+
 
 @dataclass(frozen=True, eq=False)
 class DenseOutput:
@@ -366,9 +401,9 @@ def _member_rms(x):
 def _batch_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     """The smallest over the members (rows of y0) of _initial_step.
 
-    ``fun`` receives the members' trial points as a (B, 1) array. A NaN
-    estimate (from a member whose RHS overflows) is passed over, so that it
-    cannot make the batch's step NaN.
+    ``fun`` (the batch interface, see ``solve``) gets each member's trial
+    point. A NaN estimate (from a member whose RHS overflows) is passed
+    over, so that it cannot make the batch's step NaN.
     """
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
@@ -377,7 +412,8 @@ def _batch_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.fmin(h0, interval_length)
     y1 = y0 + (h0 * direction)[:, None] * f0
-    f1 = fun((t0 + h0 * direction)[:, None], y1)
+    [rate] = fun((t0 + h0 * direction)[None, :, None])
+    f1 = rate(y1)
     d2 = _member_rms((f1 - f0) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.fmax(1e-6, h0 * 1e-3),
                   (0.01 / np.fmax(d1, d2)) ** (1 / (7 + 1)))
@@ -385,27 +421,10 @@ def _batch_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
                interval_length)
 
 
-def _dot(K, w):
-    """sum_j w[j] K[j], as scipy computes it."""
-    return np.dot(K.T, w)
-
-
-def _row_sum(K, w):
-    """sum_j w[j] K[j] for a batch: element by element, in order of j.
-
-    So a member's result does not depend on its place in the batch. And no
-    BLAS: OpenBLAS threads a matrix-vector product as large as the default
-    design grid's, and on a 2-core host whose other core was busy its
-    threads waited on each other so long that the grid took 2.6 s instead
-    of 0.3 s.
-    """
-    return sum(wj * Kj for wj, Kj in zip(w.tolist(), K) if wj)
-
-
-def _stages(fun, t, y, h, K, stages, first, combine=_dot):
+def _stages(fun, t, y, h, K, stages, first):
     """Fill K[first:] with the stages ``(a, c)`` of a step of width h."""
     for s, (a, c) in enumerate(stages, start=first):
-        dy = combine(K[:s], a[:s]) * h
+        dy = np.dot(K[:s].T, a[:s]) * h
         K[s] = fun(t + c * h, y + dy)
 
 
@@ -420,19 +439,54 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _batch_error_norm(K, h, scale):
-    """The largest over the members (rows of scale) of _error_norm
-    (Hairer, Norsett and Wanner keep one such norm per system; a pooled norm
-    over the batch would let one badly resolved member hide behind the
-    others)."""
-    err5 = _row_sum(K, _E5) / scale
-    err3 = _row_sum(K, _E3) / scale
+def _trial_step(fun, t, y, f, h, K, rtol, atol):
+    """One trial step of one system (scipy's ``rk_step`` and error norm):
+    ``(y_new, f_new, error_norm)``. K, (16, n), receives the stages, which
+    the dense output reuses."""
+    K[0] = f
+    _stages(fun, t, y, h, K, _STAGES, 1)
+    y_new = y + h * np.dot(K[:N_STAGES].T, _B)
+    f_new = fun(t + h, y_new)
+    K[N_STAGES] = f_new
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    return y_new, f_new, _error_norm(K[:N_STAGES + 1], h, scale)
+
+
+def _batch_trial_step(fun, t, y, f, h, sums, rtol, atol):
+    """One trial step of a batch: ``(y_new, f_new, error_norm)``, with the
+    largest of the members' error norms (Hairer, Norsett and Wanner keep
+    one norm per system; a pooled norm over the batch would let one badly
+    resolved member hide behind the others).
+
+    ``sums``, (14, B, n), receives the rows of _SUMS. Each stage is added
+    to every later sum as soon as it is known (_COLUMNS), so each row gets
+    its terms element by element, in order of stage and without the zero
+    weights: a member's result does not depend on its place in the batch.
+    No BLAS: OpenBLAS threads a matrix-vector product as large as the
+    default design grid's, and on a 2-core host whose other core was busy
+    its threads waited on each other so long that the grid took 2.6 s
+    instead of 0.3 s. The couplings of all 12 evaluation points of the
+    step come from one call of ``fun``.
+    """
+    rates = fun((t + _C[1:N_STAGES + 1] * h)[:, None, None])
+    # Stage 0 enters every sum, so its terms start them in place of a zero
+    # fill; adding 0 turns a -0 into +0, as 0 + w K does.
+    np.multiply(_COLUMNS[0][2], f, out=sums)
+    sums += 0
+    for s, (lo, hi, w) in enumerate(_COLUMNS[1:], start=1):
+        k = rates[s - 1](y + sums[s - 1] * h)
+        sums[lo:hi] += w * k
+    y_new = y + h * sums[_ROW_B]
+    f_new = rates[-1](y_new)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    err5 = sums[_ROW_E5] / scale
+    err3 = sums[_ROW_E3] / scale
     err5_norm_2 = np.sum(err5.real ** 2 + err5.imag ** 2, axis=1)
     err3_norm_2 = np.sum(err3.real ** 2 + err3.imag ** 2, axis=1)
     denom = err5_norm_2 + 0.01 * err3_norm_2
     norms = np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
     norms[denom == 0] = 0.0
-    return norms.max()
+    return y_new, f_new, norms.max()
 
 
 def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
@@ -440,11 +494,13 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
     """Integrate y' = fun(t, y) from t0 to t_bound (either direction).
 
     The rank of y0 sets the scope. A 1-D y0 is one system, and every step
-    is bit-identical to scipy's ``solve_ivp``. A 2-D y0, (B, n), is a batch
-    of B independent systems (see the module notes): its ``Solution.y`` is
-    (B, n, m), it has no dense output, and in the initial-step estimate
-    ``fun`` receives t as a (B, 1) array of per-member points. ``fun``
-    returns a complex array of the state's shape.
+    is bit-identical to scipy's ``solve_ivp``; ``fun(t, y)`` returns the
+    complex derivative. A 2-D y0, (B, n), is a batch of B independent
+    systems (see the module notes): its ``Solution.y`` is (B, n, m) and it
+    has no dense output. For a batch, ``fun(ts)`` takes S evaluation
+    points at once, as an (S, 1, 1) array of points shared by the members
+    or an (S, B, 1) array of per-member points, and returns S functions:
+    the s-th maps a (B, n) state to its complex derivative at ts[s].
 
     Raises IntegrationError when the required step falls below 10 ulp of t
     or after MAX_STEPS trial steps, and ValueError for an empty span, a
@@ -470,21 +526,26 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
         raise ValueError("atol must be non-negative")
 
     nfev = 0
+    if batched:
+        def counted(ts):
+            nonlocal nfev
+            nfev += len(ts)
+            return fun(ts)
 
-    def counted(t, y):
-        nonlocal nfev
-        nfev += 1
-        return fun(t, y)
+        initial_step, trial_step = _batch_initial_step, _batch_trial_step
+        work = np.empty((len(_SUMS),) + y.shape, dtype=y.dtype)
+    else:
+        def counted(t, y):
+            nonlocal nfev
+            nfev += 1
+            return fun(t, y)
 
-    initial_step, error_norm_of, combine = (
-        (_batch_initial_step, _batch_error_norm, _row_sum) if batched
-        else (_initial_step, _error_norm, _dot))
+        initial_step, trial_step = _initial_step, _trial_step
+        work = np.empty((N_STAGES_EXTENDED,) + y.shape, dtype=y.dtype)
     direction = np.sign(t_bound - t0)
     with np.errstate(**_TRIAL_ERRSTATE):
-        f = counted(t0, y)
+        f = counted(np.full((1, 1, 1), t0))[0](y) if batched else counted(t0, y)
         h_abs = initial_step(counted, t0, y, t_bound, f, direction, rtol, atol)
-        K_extended = np.empty((N_STAGES_EXTENDED,) + y.shape, dtype=y.dtype)
-        K = K_extended[:N_STAGES + 1]
 
         t = t0
         n_trials = 0
@@ -510,14 +571,8 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
                 h = t_new - t
                 h_abs = np.abs(h)
 
-                K[0] = f
-                _stages(counted, t, y, h, K, _STAGES, 1, combine)
-                y_new = y + h * combine(K[:-1], _B)
-                f_new = counted(t + h, y_new)
-                K[-1] = f_new
-
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                error_norm = error_norm_of(K, h, scale)
+                y_new, f_new, error_norm = trial_step(counted, t, y, f, h,
+                                                      work, rtol, atol)
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = MAX_FACTOR
@@ -533,15 +588,14 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
 
             if dense_output:
                 # scipy's DOP853._dense_output_impl, for the step just taken
-                _stages(counted, t, y, h, K_extended, _EXTRA_STAGES,
-                        N_STAGES + 1)
+                _stages(counted, t, y, h, work, _EXTRA_STAGES, N_STAGES + 1)
                 F = np.empty((INTERPOLATOR_POWER, y.size), dtype=y.dtype)
-                f_old = K_extended[0]
+                f_old = work[0]
                 delta_y = y_new - y
                 F[0] = delta_y
                 F[1] = h * f_old - delta_y
                 F[2] = 2 * delta_y - h * (f_new + f_old)
-                F[3:] = h * np.dot(_D, K_extended)
+                F[3:] = h * np.dot(_D, work)
                 Fs.append(F)
 
             t, y, f = t_new, y_new, f_new

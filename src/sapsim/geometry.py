@@ -20,6 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from .errors import GeometryError
 
@@ -149,6 +152,13 @@ class ArrayLayout:
     def inclined_labels(self) -> tuple:
         """The inclined guides, which carry the detuning (also at angle 0)."""
         return TOPOLOGY[self.kind].inclined_labels
+
+    @cached_property
+    def gaps(self) -> tuple:
+        """(dx0, dslope), each (n - 1,): neighbours i and i + 1 are
+        dx0[i] + dslope[i] * z apart (signed, um)."""
+        return (np.diff([p.x0 for p in self.paths]),
+                np.diff([p.slope for p in self.paths]))
 
     def _path(self, label: int) -> WaveguidePath:
         if not 1 <= label <= self.n_guides:

@@ -9,6 +9,7 @@ internally while the public surface stays in um.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -114,22 +115,23 @@ def coupling_chain(layouts, models, lams):
                                     / delta_b(lam_b)),
 
     shaped (B, n-1) for a scalar z or a (B, 1) array of per-member
-    positions; for one member and z of shape (..., 1) it is (..., n-1).
+    positions, and (S, B, n-1) for S positions given as an (S, 1, 1) or
+    (S, B, 1) array; for one member and z of shape (..., 1) it is
+    (..., n-1).
     ``diagonal``, (B, n), holds the detuning on the inclined guides and
     zero elsewhere.
     """
     members = list(zip(layouts, models, lams))
     if len({lay.n_guides for lay, _, _ in members}) > 1:
         raise ValueError("a batch needs one guide count")
-    dx0 = np.array([np.diff([p.x0 for p in lay.paths]) for lay, _, _ in members])
-    dslope = np.array([np.diff([p.slope for p in lay.paths])
-                       for lay, _, _ in members])
+    dx0 = np.array([lay.gaps[0] for lay, _, _ in members])
+    dslope = np.array([lay.gaps[1] for lay, _, _ in members])
     delta_lam, kref, dref = np.array(
         [[[mod.decay_length(lam)], [mod.kappa_ref], [mod.d_ref]]
          for _, mod, lam in members]).transpose(1, 0, 2)
-    diagonal = np.zeros(dx0.shape[:1] + (dx0.shape[1] + 1,))
-    for row, (lay, mod, _) in zip(diagonal, members):
-        row[[label - 1 for label in lay.inclined_labels]] = mod.detuning
+    diagonal = np.array([[mod.detuning if label in lay.inclined_labels else 0.0
+                          for label in range(1, lay.n_guides + 1)]
+                         for lay, mod, _ in members])
 
     def couplings(z_um):
         return kref * np.exp((dref - np.abs(dx0 + dslope * z_um)) / delta_lam)
@@ -141,12 +143,11 @@ def tridiagonal(k: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """Symmetric tridiagonal matrices (..., n, n) from couplings (..., n-1)
     and one diagonal (n,)."""
     n = diagonal.size
-    H = np.zeros(k.shape[:-1] + (n, n))
-    i = np.arange(n - 1)
-    H[..., i, i + 1] = k
-    H[..., i + 1, i] = k
-    H[..., np.arange(n), np.arange(n)] = diagonal
-    return H
+    H = np.zeros(k.shape[:-1] + (n * n,))
+    H[..., 1::n + 1] = k      # the flat positions of H[i, i + 1]
+    H[..., n::n + 1] = k      # H[i + 1, i]
+    H[..., ::n + 1] = diagonal
+    return H.reshape(k.shape[:-1] + (n, n))
 
 
 def hamiltonian_at(layout: ArrayLayout, model: CouplingModel, z: float,
@@ -161,15 +162,21 @@ def _rhs(layouts, models, lams, span_um):
     """da/dt = i (span/1 mm) H(t span) a for the members (as in
     coupling_chain), applied without forming H; t is z in units of the
     span. A scalar ``span_um`` is one system, with a 1-D state, stepping in
-    mm (span UM_PER_MM). A (B, 1) array is a batch, with a (B, n) state,
-    stepping in each member's unit span (span z_end), so that members of
-    any length step together.
+    mm (span UM_PER_MM): the result is ``rhs(t, a)``. A (B, 1) array is a
+    batch, with a (B, n) state, stepping in each member's unit span (span
+    z_end), so that members of any length step together: the result is
+    ``dop853.solve``'s batch interface, ``rates(ts)``, which evaluates the
+    couplings at all S points of ``ts`` in one call and returns S functions
+    of the state.
 
-    Raises IntegrationError ("non-finite Hamiltonian at lam = ... nm",
-    naming the first such member) when some member's H is not finite at
-    either end: couplings are monotone in z (guides never cross), so finite
-    ends bound every interior value. One check per propagation keeps the
-    integrator from searching forever for a step on NaN input.
+    Raises IntegrationError, naming the first such member's wavelength,
+    when some member's H is not finite at either end ("non-finite
+    Hamiltonian at lam = ... nm") or its length is 0 mm in floating point.
+    Couplings are monotone in z (guides never cross), so finite ends bound
+    every interior value. One check per propagation keeps the integrator
+    from searching forever for a step on NaN input. A batch would step a
+    0 mm device in units of z_end; the length check makes it fail as it
+    fails alone, so both routes accept the same devices.
     """
     couplings, diagonal = coupling_chain(layouts, models, lams)
     z_end_um = np.array([[lay.z_end_um] for lay in layouts])
@@ -179,18 +186,24 @@ def _rhs(layouts, models, lams, span_um):
     if not finite.all():
         lam = lams[np.argmin(finite)]
         raise IntegrationError(f"non-finite Hamiltonian at lam = {lam} nm")
+    zero_length = z_end_um[:, 0] / UM_PER_MM == 0.0
+    if zero_length.any():
+        i = np.argmax(zero_length)
+        raise IntegrationError(f"device length {layouts[i].z_end_um} um is "
+                               f"0 mm in floating point at lam = {lams[i]} nm")
     gain = 1j * span_um / UM_PER_MM
     shape = np.shape(span_um)[:-1] + (-1,)    # the state's: (n,) or (B, n)
     diagonal = diagonal.reshape(shape)
 
-    def rhs(t, a):
-        k = couplings(t * span_um).reshape(shape)
+    def apply(k, a):
         out = diagonal * a
         out[..., :-1] += k * a[..., 1:]
         out[..., 1:] += k * a[..., :-1]
         return gain * out
 
-    return rhs
+    if np.ndim(span_um) == 0:
+        return lambda t, a: apply(couplings(t * span_um)[0], a)
+    return lambda ts: [partial(apply, k) for k in couplings(ts * span_um)]
 
 
 def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list:
@@ -266,15 +279,13 @@ def _solve(layout: ArrayLayout, model: CouplingModel, lam: float, a0,
            opts: PropagationOptions, backward=False, dense=False):
     """DOP853 (``dop853.solve``, bit-identical to scipy's ``solve_ivp``)
     over the device, from z_end back to 0 when ``backward``. Raises
-    IntegrationError for a non-finite H or start state, a device length
-    that underflows to 0 mm, or a step underflow."""
+    IntegrationError for a non-finite H or a device length that underflows
+    to 0 mm (both from ``_rhs``), a non-finite start state, or a step
+    underflow."""
     rhs = _rhs([layout], [model], [lam], UM_PER_MM)
     if not np.all(np.isfinite(a0)):
         raise IntegrationError(f"non-finite input state at lam = {lam} nm")
     z_end_mm = layout.z_end_um / UM_PER_MM
-    if z_end_mm == 0.0:
-        raise IntegrationError(f"device length {layout.z_end_um} um is 0 mm "
-                               f"in floating point at lam = {lam} nm")
     t0, t1 = (z_end_mm, 0.0) if backward else (0.0, z_end_mm)
     try:
         return dop853.solve(rhs, t0, t1, a0, opts.rtol, opts.atol,

@@ -106,13 +106,18 @@ def test_non_finite_member_named_in_the_batch(folded5_ref):
                                 [1500.0, 1565.0, 1630.0])
 
 
-@pytest.mark.parametrize("shape", [3, (2, 3)], ids=["system", "batch"])
-def test_step_budget_ends_a_fast_oscillation(shape):
+@pytest.mark.parametrize("shape, fun", [
+    (3, lambda t, y: 1e6j * y),
+    # a batch's fun takes the step's evaluation points and returns one
+    # function of the state per point
+    ((2, 3), lambda ts: [lambda y: 1e6j * y] * len(ts)),
+], ids=["system", "batch"])
+def test_step_budget_ends_a_fast_oscillation(shape, fun):
     # y' = i 1e6 y over [0, 1] needs about 1e6 steps; the solve stops at
     # MAX_STEPS trial steps instead, for one system and for a batch
     y0 = np.ones(shape, dtype=complex)
     with pytest.raises(IntegrationError, match="step budget"):
-        dop853.solve(lambda t, y: 1e6j * y, 0.0, 1.0, y0, 1e-10, 1e-12)
+        dop853.solve(fun, 0.0, 1.0, y0, 1e-10, 1e-12)
 
 
 def test_chunks_keep_groups_whole(monkeypatch):
@@ -124,3 +129,81 @@ def test_chunks_keep_groups_whole(monkeypatch):
         [0, 2, 1], [3, 4, 5], [6, 7, 8, 9], [10, 11]]
     # without groups, members are cut in order
     assert list(propagator._chunks(range(6))) == [[0, 1, 2, 3], [4, 5]]
+
+
+def test_column_runs_hold_exactly_the_nonzero_weights():
+    # the batch step adds stage j to the rows lo:hi of column j; those must
+    # be the nonzero weights of stages 1-11, B, E5 and E3, and nothing else
+    table = np.zeros_like(dop853._SUMS)
+    for j, (lo, hi, w) in enumerate(dop853._COLUMNS):
+        assert np.all(w != 0)
+        table[lo:hi, j] = w[:, 0, 0].real
+    expected = np.vstack([dop853._A[1:12, :12], dop853._B,
+                          dop853._E5[:12], dop853._E3[:12]])
+    assert np.array_equal(table, expected)
+    assert np.count_nonzero(expected) == 74
+    # stage 0 enters every sum: its terms start them
+    assert dop853._COLUMNS[0][:2] == (0, len(expected))
+    # the error rows have no weight on the stage at the new point
+    assert dop853._E5[12] == dop853._E3[12] == 0
+
+
+def bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@st.composite
+def stage_stacks(draw):
+    # 13 stages of a (B, n) batch, with exact zeros of either sign mixed in
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (13, draw(st.integers(1, 5)), draw(st.integers(2, 5)))
+    scale = 10.0 ** rng.uniform(-3, 3, size=shape)
+    K = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+    K.real[rng.random(shape) < 0.1] = 0.0
+    K.imag[rng.random(shape) < 0.1] = -0.0
+    return K
+
+
+@given(K=stage_stacks(), h=st.floats(-1.0, 1.0).filter(bool))
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_column_sums_match_per_term_sums_bit_for_bit(K, h):
+    # The batch step's stages come from a stub that returns the drawn K;
+    # every stage input, the new state and both error sums must equal the
+    # per-term formula sum(w_j K_j), taken in order of j over the nonzero
+    # weights, bit for bit.
+    def row_sum(w):
+        return sum(wj * Kj for wj, Kj in zip(w.tolist(), K) if wj)
+
+    rng = np.random.default_rng(1)
+    y = rng.normal(size=K.shape[1:]) + 1j * rng.normal(size=K.shape[1:])
+    inputs = []
+
+    def fun(ts):
+        assert ts.shape == (12, 1, 1)
+        return [lambda a, k=k: inputs.append(a) or k for k in K[1:]]
+
+    sums = np.empty((14,) + y.shape, dtype=complex)
+    y_new, f_new, _ = dop853._batch_trial_step(fun, 0.0, y, K[0], h, sums,
+                                               1e-6, 1e-9)
+    assert bits(f_new) == bits(K[12])
+    for s, a in enumerate(inputs[:11], start=1):
+        assert bits(a) == bits(y + row_sum(dop853._A[s, :s]) * h)
+    assert bits(inputs[11]) == bits(y_new)
+    assert bits(y_new) == bits(y + h * row_sum(dop853._B))
+    assert bits(sums[12]) == bits(row_sum(dop853._E5))
+    assert bits(sums[13]) == bits(row_sum(dop853._E3))
+
+
+def test_member_order_does_not_change_a_member_bits(folded5_ref):
+    # members of one solve share its steps, and each member's arithmetic is
+    # element by element, so reversing the batch reverses its finals
+    layouts = [build_folded5(h, 27.5, 0.03, 5.0)
+               for h in (5000.0, 7500.0, 9000.0)] + [folded5_ref]
+    models = [calibrated_model(lay, TARGET_RATIO, KAPPA_REF, LAM0,
+                               detuning=0.1) for lay in layouts]
+    lams = [1500.0, 1540.0, 1590.0, 1630.0]
+    forward = propagator.batch_finals(layouts, models, lams)
+    backward = propagator.batch_finals(layouts[::-1], models[::-1],
+                                       lams[::-1])
+    assert [bits(f.amplitudes) for f in forward] == \
+        [bits(f.amplitudes) for f in backward[::-1]]

@@ -360,13 +360,16 @@ def test_underflowing_target_ratio_exits_4(tmp_path, capsys, command):
 
 
 def test_device_shorter_than_a_float_mm_exits_3(tmp_path, capsys):
-    # z_end = 1e-323 um is 0 mm: the one-system solve has no span
-    assert run("propagate", tmp_path, "--override", "coupling.delta_decay=4",
-               "--override", "geometry.half_length=5e-324") == 3
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("numerical failure: device length 1e-323 um is "
-                           "0 mm")
-    assert not any(tmp_path.iterdir())
+    # z_end = 1e-323 um is 0 mm: the one-system solve has no span. The
+    # batched one (sweep) steps in units of z_end, where it has one, and
+    # still fails as the one-system route does, naming its first member.
+    for command, lam in (("propagate", 1550.0), ("sweep", 1500.0)):
+        assert run(command, tmp_path, "--override", "coupling.delta_decay=4",
+                   "--override", "geometry.half_length=5e-324") == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == ("numerical failure: device length 1e-323 um is 0 mm "
+                        f"in floating point at lam = {lam} nm")
+        assert not any(tmp_path.iterdir())
 
 
 def run_recording(command, out, capsys, *overrides):
@@ -541,8 +544,8 @@ NAMED_INPUTS = [
     ("calibrate", ["coupling.resolution=5e-324"]),
     ("calibrate", ["coupling.kappa_min=5e-324"]),
     *((command, ["coupling.target_ratio=5e-324"]) for command in COMMANDS),
-    ("propagate", ["coupling.delta_decay=4", "geometry.half_length=5e-324"]),
-    ("sweep", ["coupling.delta_decay=4", "geometry.half_length=5e-324"]),
+    *((command, ["coupling.delta_decay=4", "geometry.half_length=5e-324"])
+      for command in COMMANDS),
     *((command, [f"coupling.delta_decay={value}"])
       for command in ("propagate", "sweep", "darkstate")
       for value in ("5e-324", "1e-300")),

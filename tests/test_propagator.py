@@ -95,12 +95,18 @@ class TestRhs:
                 span = layout.z_end_um if batched else UM_PER_MM
                 rhs = _rhs([layout], [model], [lam],
                            np.array([[span]]) if batched else span)
-                for z in rng.uniform(0.0, layout.z_end_um, 25):
+                zs = rng.uniform(0.0, layout.z_end_um, 25)
+                # a batch's rhs takes all points at once, as an (S, 1, 1)
+                # array, and returns one function of the state per point
+                rates = rhs((zs / span)[:, None, None]) if batched else [
+                    lambda a, t=z / span: rhs(t, a) for z in zs]
+                assert len(rates) == len(zs)
+                for z, rate in zip(zs, rates):
                     a = (rng.normal(size=layout.n_guides)
                          + 1j * rng.normal(size=layout.n_guides))
                     H = hamiltonian_at(layout, model, z, lam).matrix
                     expected = 1j * span / UM_PER_MM * (H @ a)
-                    got = rhs(z / span, a[None] if batched else a)
+                    got = rate(a[None] if batched else a)
                     assert got.shape == (a[None] if batched else a).shape
                     assert np.max(np.abs(got.ravel() - expected)) \
                         <= 1e-14 * np.max(np.abs(expected))
