@@ -10,7 +10,7 @@ ranked table doubles as a Pareto inspection dump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,11 +22,6 @@ from .propagator import PropagationOptions
 from .spectral import sweep_designs
 
 _RANK_SCALE = {"crosstalk_db_per_10": 10.0, "length_cm": 1e4}
-# Scores this close (relative) are one score when ranking. Designs with the
-# same coupling profile (separation and angle varied at fixed length and
-# facet ratio) differ only by rounding, about 1e-15, when their band sweeps
-# share step sequences (see _evaluate).
-SCORE_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,15 +113,31 @@ def evaluate_candidate(params: CandidateParams,
 
 
 def _evaluate(points, config: ObjectiveConfig) -> list:
-    """Score each parameter point; the band sweeps of all valid points run
-    as one batched propagation.
+    """Score each parameter point, sweeping and scoring one design per
+    coupling profile.
 
-    The coupling profile of a candidate depends on its half-length and
-    facet ratio only (the config fixes the rest), so the candidates that
-    share both are swept as one group: each of their wavelengths in one
-    solve, hence one step sequence, so that their scores tie.
+    Every point is checked on its own (``build_layout`` and
+    ``calibrated_model``). The valid points are keyed by (half_length_um,
+    target_ratio); the first valid point of each key, in point order, is
+    its representative. The representatives' band sweeps run as one
+    batched propagation, and each gets its own adiabaticity margin; every
+    other valid point of a key takes its representative's objectives and
+    score, so equal-profile points tie exactly.
+
+    The copy is exact because the separation and angle do not enter the
+    coupled-mode matrix. In folded5 the gap of each inclined guide to its
+    outer neighbour runs linearly from d_near to d_far over the device
+    length 2L, and the gap to the center the other way, so
+    x_i(z) = (d_i(z) - d_near)/(d_far - d_near) is z/2L or 1 - z/2L.
+    ``calibrated_model`` pins d_ref = d_near and sets
+    delta_0 = (d_far - d_near)/ln(1/r), so
+
+        k_i(z, lam) = kappa_ref * r**(x_i(z) / (1 + rho (lam - lam0)/lam0))
+
+    whatever the separation and angle, and the detuning diagonal depends on
+    the topology alone.
     """
-    candidates, valid = [], []
+    candidates, profiles = [], {}
     for params in points:
         try:
             spec = GeometrySpec(Kind.FOLDED5, params.half_length_um,
@@ -136,18 +147,21 @@ def _evaluate(points, config: ObjectiveConfig) -> list:
             model = calibrated_model(layout, params.target_ratio,
                                      config.kappa_ref, config.lambda0,
                                      config.rho, config.detuning)
-            valid.append((len(candidates), layout, model))
-            candidates.append(None)
         except (GeometryError, CalibrationError, ValueError) as exc:
             candidates.append(DesignCandidate(params, None, math.inf, False,
                                               str(exc)))
+            continue
+        key = (params.half_length_um, params.target_ratio)
+        if key not in profiles:
+            profiles[key] = (layout, model, [])
+        profiles[key][2].append(len(candidates))
+        candidates.append(None)
 
-    curves = sweep_designs([lay for _, lay, _ in valid],
-                           [mod for _, _, mod in valid], config.lam_min,
-                           config.lam_max, config.n_points, config.options,
-                           [(points[i].half_length_um, points[i].target_ratio)
-                            for i, _, _ in valid])
-    for (i, layout, model), curve in zip(valid, curves):
+    curves = sweep_designs([lay for lay, _, _ in profiles.values()],
+                           [mod for _, mod, _ in profiles.values()],
+                           config.lam_min, config.lam_max, config.n_points,
+                           config.options)
+    for (layout, model, members), curve in zip(profiles.values(), curves):
         imbalance = max(abs(r.fractions[0] - 0.5) for r in curve.reports)
         objectives = Objectives(
             worst_crosstalk_db=curve.summary.worst_crosstalk_db,
@@ -157,8 +171,10 @@ def _evaluate(points, config: ObjectiveConfig) -> list:
                 layout, model, config.lambda0,
                 config.margin_samples).max_value,
         )
-        candidates[i] = DesignCandidate(points[i], objectives,
-                                        _score(objectives, config), True)
+        score = _score(objectives, config)
+        for i in members:
+            candidates[i] = DesignCandidate(points[i], objectives, score,
+                                            True)
     return candidates
 
 
@@ -179,18 +195,6 @@ def _axis(bounds: tuple, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _merge_ties(candidates) -> list:
-    """Candidates whose scores chain within SCORE_TIE_RTOL of each other
-    take the lowest score of their chain, so they tie exactly."""
-    merged, first, prev = [], math.nan, math.nan
-    for cand in sorted(candidates, key=lambda c: c.score):
-        if not math.isclose(cand.score, prev, rel_tol=SCORE_TIE_RTOL):
-            first = cand.score
-        prev = cand.score
-        merged.append(replace(cand, score=first))
-    return merged
-
-
 def _rank_key(cand: DesignCandidate):
     length = cand.objectives.device_length_um if cand.valid else math.inf
     return (cand.score, length) + cand.params.as_tuple()
@@ -198,10 +202,11 @@ def _rank_key(cand: DesignCandidate):
 
 def grid_search(bounds: ParameterBounds, steps, config: ObjectiveConfig,
                 budget: int = 2000) -> list:
-    """Exhaustive evaluation over the Cartesian grid (every valid point's
-    band sweep in one batched propagation), ranked by score with
-    ties broken by shorter device, then lexicographic parameters. Scores
-    within SCORE_TIE_RTOL of each other are ties and are reported as equal.
+    """Exhaustive evaluation over the Cartesian grid, ranked by score with
+    ties broken by shorter device, then lexicographic parameters. The grid
+    sweeps and scores one design per (half_length, target_ratio), all in
+    one batched propagation, and every other valid point of that pair
+    shares its score (see ``_evaluate``), so equal-profile points tie.
 
     ``steps`` is a 4-tuple of per-axis counts (alpha, separation,
     half_length, target_ratio).
@@ -219,7 +224,7 @@ def grid_search(bounds: ParameterBounds, steps, config: ObjectiveConfig,
     points = [CandidateParams(float(a), float(s), float(L), float(r))
               for a in axes[0] for s in axes[1] for L in axes[2]
               for r in axes[3]]
-    return sorted(_merge_ties(_evaluate(points, config)), key=_rank_key)
+    return sorted(_evaluate(points, config), key=_rank_key)
 
 
 def refine_local(start: DesignCandidate, config: ObjectiveConfig,

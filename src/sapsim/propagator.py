@@ -223,55 +223,31 @@ def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list
             for a, lay, lam in zip(sol.y[:, :, -1], layouts, lams)]
 
 
-def _chunks(groups):
-    """Member indices per solve: at most BATCH_SIZE, whole groups (equal
-    entries of ``groups``) in order of first appearance, and a group larger
-    than BATCH_SIZE cut into pieces of BATCH_SIZE."""
-    by_group = {}
-    for i, group in enumerate(groups):
-        by_group.setdefault(group, []).append(i)
-    chunk = []
-    for members in by_group.values():
-        if len(chunk) + len(members) > BATCH_SIZE and chunk:
-            yield chunk
-            chunk = []
-        chunk += members
-        while len(chunk) > BATCH_SIZE:
-            yield chunk[:BATCH_SIZE]
-            chunk = chunk[BATCH_SIZE:]
-    if chunk:
-        yield chunk
-
-
-def propagate_batch(layouts, models, lams, opts: PropagationOptions = None,
-                    groups=None) -> list:
+def propagate_batch(layouts, models, lams,
+                    opts: PropagationOptions = None) -> list:
     """Final states of the nominal input for a batch of systems.
 
     Member b is (layouts[b], models[b], lams[b]); all layouts share one
-    guide count. Members are integrated together, one ``batch_finals`` per
-    BATCH_SIZE of them; the result agrees with ``propagate`` member by
-    member to roundoff at the tolerance level. Members of one solve share
-    its step sequence, so a member's roundoff depends on which others are
-    in its solve. ``groups``, one hashable per member, keeps the members
-    with equal entries in one solve (unless there are more than BATCH_SIZE
-    of them): systems that must agree to roundoff, such as designs with one
-    coupling profile at one wavelength, belong in one group.
+    guide count. The members are cut in order into solves of at most
+    BATCH_SIZE, one ``batch_finals`` each; the result agrees with
+    ``propagate`` member by member to roundoff at the tolerance level.
+    Members of one solve share its step sequence, so a member's roundoff
+    depends on which others are in its solve.
 
     When a solve fails, its members are propagated one at a time, so the
     first failing member raises the IntegrationError ``propagate`` would.
     """
     opts = opts or PropagationOptions()
-    layouts, models, lams = list(layouts), list(models), [float(v) for v in lams]
-    finals = [None] * len(lams)
-    for chunk in _chunks(range(len(lams)) if groups is None else groups):
-        members = [(layouts[i], models[i], lams[i]) for i in chunk]
+    members = list(zip(layouts, models, [float(v) for v in lams],
+                       strict=True))
+    finals = []
+    for first in range(0, len(members), BATCH_SIZE):
+        chunk = members[first:first + BATCH_SIZE]
         try:
-            states = batch_finals(*zip(*members), opts)
+            finals += batch_finals(*zip(*chunk), opts)
         except IntegrationError:
-            states = [propagate(*member, opts=opts).final
-                      for member in members]
-        for i, state in zip(chunk, states):
-            finals[i] = state
+            finals += [propagate(*member, opts=opts).final
+                       for member in chunk]
     return finals
 
 

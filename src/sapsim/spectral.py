@@ -76,22 +76,14 @@ def sweep_wavelength(layout: ArrayLayout, model: CouplingModel, lam_min: float,
 
 
 def sweep_designs(layouts, models, lam_min: float, lam_max: float,
-                  n_points: int, opts: PropagationOptions = None,
-                  groups=None) -> list:
+                  n_points: int, opts: PropagationOptions = None) -> list:
     """One SpectralCurve per (layout, model) pair over the same grid, with
-    all (design, wavelength) points propagated as one batch.
-
-    ``groups``, one hashable per design, names designs whose curves must
-    agree to roundoff (equal coupling profiles): at each wavelength the
-    designs of a group share one solve (see ``propagate_batch``).
-    """
+    all (design, wavelength) points propagated as one batch
+    (``propagate_batch``), design by design in order of wavelength."""
     grid = wavelength_grid(lam_min, lam_max, n_points)
     finals = propagate_batch([lay for lay in layouts for _ in grid],
                              [mod for mod in models for _ in grid],
-                             np.tile(grid, len(layouts)), opts,
-                             None if groups is None else
-                             [(group, j) for group in groups
-                              for j in range(len(grid))])
+                             np.tile(grid, len(layouts)), opts)
     curves = []
     for i, layout in enumerate(layouts):
         reports = [split_report(final, layout.kind)

@@ -120,15 +120,19 @@ def test_step_budget_ends_a_fast_oscillation(shape, fun):
         dop853.solve(fun, 0.0, 1.0, y0, 1e-10, 1e-12)
 
 
-def test_chunks_keep_groups_whole(monkeypatch):
+def test_members_are_cut_in_order(folded5_ref, model_ref, monkeypatch):
     monkeypatch.setattr(propagator, "BATCH_SIZE", 4)
-    groups = ["a", "b", "a", "c", "c", "c"] + ["d"] * 6
-    # a and b share a solve; c does not fit beside them; d is larger than
-    # one solve and is cut, its remainder opening the next solve
-    assert list(propagator._chunks(groups)) == [
-        [0, 2, 1], [3, 4, 5], [6, 7, 8, 9], [10, 11]]
-    # without groups, members are cut in order
-    assert list(propagator._chunks(range(6))) == [[0, 1, 2, 3], [4, 5]]
+    solves, batch_finals = [], propagator.batch_finals
+
+    def recorded(layouts, models, lams, opts):
+        solves.append(list(lams))
+        return batch_finals(layouts, models, lams, opts)
+
+    monkeypatch.setattr(propagator, "batch_finals", recorded)
+    lams = [1500.0 + 20.0 * i for i in range(6)]
+    finals = propagate_batch([folded5_ref] * 6, [model_ref] * 6, lams)
+    assert solves == [lams[:4], lams[4:]]
+    assert [f.wavelength_nm for f in finals] == lams
 
 
 def test_column_runs_hold_exactly_the_nonzero_weights():

@@ -1,12 +1,18 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sapsim import (CandidateParams, ObjectiveConfig, ObjectiveWeights,
-                    ParameterBounds, PropagationOptions, evaluate_candidate,
-                    grid_search, propagator, refine_local)
+from sapsim import (CalibrationError, CandidateParams, GeometryError,
+                    GeometrySpec, Kind, ObjectiveConfig, ObjectiveWeights,
+                    ParameterBounds, PropagationOptions, adiabaticity_margin,
+                    build_layout, calibrated_model, design,
+                    evaluate_candidate, grid_search, propagate_batch,
+                    propagator, refine_local, spectral)
 
 REFERENCE_PARAMS = CandidateParams(0.03, 22.0, 7500.0, 0.15)
 
@@ -84,8 +90,8 @@ class TestGridSearch:
 
     def test_equal_profile_designs_tie_exactly(self, ranked_125):
         # at fixed length and facet ratio every valid (alpha, separation)
-        # pair has the same coupling profile; their scores differ only by
-        # rounding, so they must share one score and rank by parameters
+        # pair has the same coupling profile and is scored once, so the
+        # pairs share one score and rank by parameters
         block = [c for c in ranked_125
                  if c.valid and c.params.half_length_um == 7500.0]
         assert len(block) == 15
@@ -93,6 +99,25 @@ class TestGridSearch:
         assert len({c.score for c in block}) == 1
         params = [c.params.as_tuple() for c in block]
         assert params == sorted(params)
+
+    def test_one_sweep_and_one_margin_per_profile(self, cheap, monkeypatch):
+        # the grid's 74 valid candidates have 5 (half-length, facet ratio)
+        # profiles: 5 designs x 3 wavelengths propagate, 5 margins are taken
+        members, margins = [], []
+
+        def counted_batch(layouts, models, lams, opts=None):
+            members.extend(lams)
+            return propagate_batch(layouts, models, lams, opts)
+
+        def counted_margin(*args):
+            margins.append(args)
+            return adiabaticity_margin(*args)
+
+        monkeypatch.setattr(spectral, "propagate_batch", counted_batch)
+        monkeypatch.setattr(design, "adiabaticity_margin", counted_margin)
+        ranked = grid_search(ParameterBounds(), (5, 5, 5, 1), cheap)
+        assert sum(c.valid for c in ranked) == 74
+        assert (len(members), len(margins)) == (15, 5)
 
     def test_best_block_picks_reference_length(self, ranked_125):
         assert ranked_125[0].objectives.device_length_um == 15000.0
@@ -109,12 +134,12 @@ class TestGridSearch:
     def test_ranking_does_not_depend_on_the_batch_size(self, cheap,
                                                        ranked_125,
                                                        monkeypatch):
-        # with solves of 16 members the grid's 222 (candidate, wavelength)
-        # systems take 15 solves. Each wavelength of an equal-profile block
-        # stays in one solve, so the block still ties and the ranking is
-        # the one-solve ranking; scores move only by the roundoff of other
-        # step sequences (measured 1.3e-8 relative at this rtol of 1e-8).
-        monkeypatch.setattr(propagator, "BATCH_SIZE", 16)
+        # with solves of 4 members the grid's 15 (profile, wavelength)
+        # systems take 4 solves. An equal-profile block is scored once, so
+        # it still ties and the ranking is the one-solve ranking; scores
+        # move only by the roundoff of other step sequences (measured
+        # 9.8e-9 relative at this rtol of 1e-8).
+        monkeypatch.setattr(propagator, "BATCH_SIZE", 4)
         split = grid_search(ParameterBounds(), (5, 5, 5, 1), cheap)
         assert [c.params for c in split] == [c.params for c in ranked_125]
         assert [c.score for c in split] == pytest.approx(
@@ -149,6 +174,39 @@ class TestGridSearch:
                                  half_length_um=(5000.0, 10000.0))
         ranked = grid_search(bounds, (1, 1, 3, 1), config)
         assert ranked[0].params.half_length_um == 5000.0
+
+
+def _profile(alpha_deg, separation_um, lam):
+    """Couplings on a grid of z/2L and the peak adiabaticity of a folded5
+    design at half-length 7500 um and facet ratio 0.15, default config."""
+    config = ObjectiveConfig()
+    layout = build_layout(GeometrySpec(Kind.FOLDED5, 7500.0, separation_um,
+                                       alpha_deg, config.width_um))
+    model = calibrated_model(layout, 0.15, config.kappa_ref, config.lambda0,
+                             config.rho, config.detuning)
+    couplings, _ = propagator.coupling_chain([layout], [model], [lam])
+    k = couplings(np.linspace(0.0, 1.0, 41)[:, None] * layout.z_end_um)
+    return k, adiabaticity_margin(layout, model, lam, 101).max_value
+
+
+@given(alpha=st.floats(*ParameterBounds().alpha_deg),
+       separation=st.floats(*ParameterBounds().separation_um))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_separation_and_angle_leave_the_coupling_profile(alpha, separation):
+    # grid_search scores one design per (half-length, facet ratio) and
+    # copies its objectives to the rest, which is exact only while the
+    # couplings and the margin of a folded5 design depend on neither its
+    # separation nor its angle (measured spread 3.2e-15 and 1.7e-14 over
+    # 122 valid draws)
+    lam = 1600.0    # off lambda0, where rho = 1 stretches the decay length
+    try:
+        k, margin = _profile(alpha, separation, lam)
+    except (GeometryError, CalibrationError):
+        assume(False)
+    k_ref, margin_ref = _profile(REFERENCE_PARAMS.alpha_deg,
+                                 REFERENCE_PARAMS.separation_um, lam)
+    np.testing.assert_allclose(k, k_ref, rtol=1e-12, atol=0)
+    assert margin == pytest.approx(margin_ref, rel=1e-12, abs=0)
 
 
 class TestRefineLocal:
