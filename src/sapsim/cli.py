@@ -172,8 +172,9 @@ def cmd_optimize(cfg, out: Path) -> None:
     bounds, steps, objective = cfgmod.objective_from(cfg)
     ranked = grid_search(bounds, steps, objective, budget=d.budget)
     best = ranked[0]
-    if d.refine_iters > 0 and best.valid:
-        best = refine_local(best, objective, d.refine_iters)
+    refined = d.refine_iters > 0 and best.valid
+    if refined:
+        best = refine_local(best, objective, bounds, d.refine_iters)
 
     header = ["rank", "alpha_deg", "separation_um", "half_length_um",
               "target_ratio", "worst_crosstalk_db", "band_imbalance",
@@ -206,7 +207,7 @@ def cmd_optimize(cfg, out: Path) -> None:
             "max_adiabaticity": best.objectives.max_adiabaticity,
         },
         "score": best.score,
-        "refined": bool(d.refine_iters > 0),
+        "refined": refined,
     })
 
 

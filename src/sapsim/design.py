@@ -21,8 +21,6 @@ from .geometry import GeometrySpec, Kind, build_layout
 from .propagator import PropagationOptions
 from .spectral import sweep_designs
 
-_RANK_SCALE = {"crosstalk_db_per_10": 10.0, "length_cm": 1e4}
-
 
 @dataclass(frozen=True)
 class CandidateParams:
@@ -94,16 +92,13 @@ class DesignCandidate:
     note: str = ""
 
 
-def _score(objectives: Objectives, config: ObjectiveConfig) -> float:
+def _score(o: Objectives, config: ObjectiveConfig) -> float:
     w = config.weights
-    return (
-        w.crosstalk * (objectives.worst_crosstalk_db
-                       - config.crosstalk_requirement_db)
-        / _RANK_SCALE["crosstalk_db_per_10"]
-        + w.imbalance * objectives.band_imbalance
-        + w.length * objectives.device_length_um / _RANK_SCALE["length_cm"]
-        + w.adiabaticity * objectives.max_adiabaticity
-    )
+    return (w.crosstalk * (o.worst_crosstalk_db
+                           - config.crosstalk_requirement_db) / 10.0
+            + w.imbalance * o.band_imbalance
+            + w.length * o.device_length_um / 1e4   # um to cm
+            + w.adiabaticity * o.max_adiabaticity)
 
 
 def evaluate_candidate(params: CandidateParams,
@@ -228,33 +223,37 @@ def grid_search(bounds: ParameterBounds, steps, config: ObjectiveConfig,
 
 
 def refine_local(start: DesignCandidate, config: ObjectiveConfig,
-                 max_iters: int = 60) -> DesignCandidate:
-    """Derivative-free simplex polish around a candidate.
+                 bounds: ParameterBounds, max_iters: int) -> DesignCandidate:
+    """Bounded compass search from ``start`` (Kolda, Lewis & Torczon, SIAM
+    Rev. 45, 385 (2003)).
 
-    Works in start-relative coordinates so the termination width 1e-3 is a
-    relative simplex diameter. Returns the polished candidate only when it
-    scores strictly below the start scored the same way (a start from
-    ``grid_search`` carries a score from a larger batch, which differs by
-    roundoff), and the start otherwise.
+    Polls half_length_um and target_ratio where their bounds have lo < hi;
+    the separation and angle leave the score unchanged (see ``_evaluate``).
+    A poll scores the points one step either side on each free axis,
+    clipped to the bounds, in one ``_evaluate`` call, and moves to the best
+    of them if it scores strictly lower, else halves the step. The step
+    starts at 0.25 of the axis width; the search stops below 1e-3 of it or
+    after ``max_iters`` polls. Returns the start unless a point scores
+    strictly below the start re-scored the same way (a grid score differs
+    from it by the roundoff of a larger batch).
     """
-    if max_iters <= 0:
+    free = [(i, lo, hi) for i, (lo, hi) in
+            ((2, bounds.half_length_um), (3, bounds.target_ratio)) if lo < hi]
+    if max_iters <= 0 or not free:
         return start
-    from scipy.optimize import minimize
-
-    p0 = np.array(start.params.as_tuple())
-    scale = np.where(np.abs(p0) > 0, np.abs(p0), 1.0)
-
-    def objective(x):
-        params = CandidateParams(*(x * scale))
-        if params.alpha_deg < 0 or params.separation_um <= 0 \
-                or params.half_length_um <= 0 \
-                or not 0 < params.target_ratio < 1:
-            return math.inf
-        return evaluate_candidate(params, config).score
-
-    result = minimize(objective, p0 / scale, method="Nelder-Mead",
-                      options={"maxiter": max_iters, "xatol": 1e-3,
-                               "fatol": 1e-12, "disp": False})
-    best = evaluate_candidate(CandidateParams(*(result.x * scale)), config)
-    return best if best.score < evaluate_candidate(start.params,
-                                                   config).score else start
+    rescored = best = _evaluate([start.params], config)[0]
+    step = 0.25
+    for _ in range(max_iters):
+        x = best.params.as_tuple()
+        polls = [CandidateParams(*x[:i], min(max(v, lo), hi), *x[i + 1:])
+                 for i, lo, hi in free
+                 for v in (x[i] - step * (hi - lo), x[i] + step * (hi - lo))]
+        polls = [p for p in polls if p != best.params]
+        if step < 1e-3 or not polls:
+            break
+        trial = min(_evaluate(polls, config), key=lambda c: c.score)
+        if trial.score < best.score:
+            best = trial
+        else:
+            step /= 2
+    return best if best.score < rescored.score else start

@@ -38,8 +38,8 @@ COUNT_BOUNDS = [
 
 # Batched propagation (propagate_batch) and one propagate per system agree
 # on final amplitudes to within this at the default tolerances. Measured
-# max |da|: 7.8e-12 over the 27-point folded5 sweep, 9.8e-12 over the 666
-# (candidate, wavelength) systems of the default design grid, 3.3e-11 over
+# max |da|: 7.8e-12 over the 27-point folded5 sweep, 9.8e-12 over the 45
+# (design, wavelength) systems of the default design grid, 3.3e-11 over
 # 60 randomly drawn sap3/fsap3/folded5 devices with detuning.
 BATCH_DA = 1e-10
 

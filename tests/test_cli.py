@@ -201,6 +201,37 @@ class TestOptimizeCommand:
         assert rows.shape[0] == 1
         assert rows[0, 0] == 1.0
 
+    def test_refined_best_stays_in_the_box(self, tmp_path):
+        # the refine polls half-length and facet ratio inside the design
+        # bounds and keeps the grid best's angle and separation
+        assert main(["optimize", "--out", str(tmp_path),
+                     "--override", "design.refine_iters=40"]) == 0
+        header, rows = read_csv(tmp_path / "optimize.csv")
+        best = json.loads((tmp_path / "optimize_best.json").read_text())
+        d = cfgmod.DesignSection()
+        bounds = {"alpha_deg": (d.alpha_min, d.alpha_max),
+                  "separation_um": (d.separation_min, d.separation_max),
+                  "half_length_um": (d.half_length_min, d.half_length_max),
+                  "target_ratio": (d.ratio_min, d.ratio_max)}
+        assert best["params"].keys() == bounds.keys()
+        for name, (lo, hi) in bounds.items():
+            assert lo <= best["params"][name] <= hi, name
+        assert best["refined"] is True
+        assert best["score"] <= rows[0, header.index("score")]
+        # the poll lattice point the search ends on in 13 polls
+        assert best["params"]["half_length_um"] == 8071.2890625
+
+    def test_no_refine_without_a_valid_grid_best(self, tmp_path):
+        # every candidate fails the geometry check, so there is nothing to
+        # refine and optimize_best.json must not claim a refine ran
+        assert run("optimize", tmp_path,
+                   "--override", "design.alpha_min=0",
+                   "--override", "design.alpha_max=0",
+                   "--override", "design.refine_iters=5") == 0
+        best = json.loads((tmp_path / "optimize_best.json").read_text())
+        assert best["objectives"] is None and best["score"] is None
+        assert best["refined"] is False
+
 
 class TestCalibrateCommand:
     CAL = ["--override", "coupling.kappa_ref=auto",
@@ -471,23 +502,35 @@ def test_optimize_config_faults_exit_2(tmp_path, key, overrides):
 
 
 def test_import_does_not_load_the_integrator(tmp_path):
-    # neither importing sapsim nor running the propagating commands may
-    # load scipy's ODE package (about 0.6 s of cold start)
+    # sapsim needs scipy for its tests only: neither importing it, nor any
+    # command, nor a refined optimize may load a scipy module (its ODE
+    # package alone is about 0.6 s of cold start)
+    small_grid = [arg for item in ("design.steps_alpha=1",
+                                   "design.steps_separation=2",
+                                   "design.steps_half_length=2",
+                                   "design.band_points=3")
+                  for arg in ("--override", item)]
     script = (
         "import sys, sapsim\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "def scipy_loaded():\n"
+        "    print(any(name.split('.')[0] == 'scipy' for name in sys.modules))\n"
+        "scipy_loaded()\n"
         "from sapsim.cli import main\n"
-        f"fast = {FAST!r}\n"
-        "for command in ('propagate', 'sweep', 'farfield', 'calibrate'):\n"
-        f"    assert main([command, '--out', {str(tmp_path)!r}, *fast]) == 0\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        f"fast, out = {FAST + small_grid!r}, {str(tmp_path)!r}\n"
+        f"for command in {COMMANDS!r}:\n"
+        "    assert main([command, '--out', out, *fast]) == 0\n"
+        "scipy_loaded()\n"
+        "assert main(['optimize', '--out', out, *fast,\n"
+        "             '--override', 'design.refine_iters=5']) == 0\n"
+        "scipy_loaded()\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120,
                           env=SUBPROCESS_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
-    assert (tmp_path / "calibrate.json").exists()
+    assert proc.stdout.split() == ["False", "False", "False"]
+    best = json.loads((tmp_path / "optimize_best.json").read_text())
+    assert best["refined"] is True
 
 
 NUMERIC_KEYS = [

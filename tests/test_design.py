@@ -1,9 +1,7 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -212,30 +210,76 @@ def test_separation_and_angle_leave_the_coupling_profile(alpha, separation):
 class TestRefineLocal:
     def test_zero_iterations_returns_start(self, cheap):
         start = evaluate_candidate(REFERENCE_PARAMS, cheap)
-        assert refine_local(start, cheap, max_iters=0) is start
+        assert refine_local(start, cheap, ParameterBounds(),
+                            max_iters=0) is start
 
     def test_never_increases_score(self, cheap):
         start = evaluate_candidate(REFERENCE_PARAMS, cheap)
-        refined = refine_local(start, cheap, max_iters=10)
+        refined = refine_local(start, cheap, ParameterBounds(), max_iters=10)
         assert refined.score <= start.score
 
     def test_polish_that_finds_nothing_returns_grid_start(self, cheap,
-                                                          ranked_125,
-                                                          monkeypatch):
-        # the grid scored the start in a larger batch than the polish
-        # scores a point, so the two scores of the start differ by roundoff;
-        # re-finding the start must not count as an improvement
-        monkeypatch.setattr(scipy.optimize, "minimize",
-                            lambda fun, x0, **kw: SimpleNamespace(x=x0))
+                                                          ranked_125):
+        # separation and angle are never polled, so a box that fixes the
+        # half-length and the facet ratio leaves nothing to search
         start = ranked_125[0]
-        assert refine_local(start, cheap, max_iters=5) is start
+        fixed = ParameterBounds(half_length_um=(7500.0, 7500.0))
+        assert refine_local(start, cheap, fixed, max_iters=5) is start
+        # nor does a box narrower than the roundoff of the start's length,
+        # where every poll point rounds back to the start
+        narrow = ParameterBounds(
+            half_length_um=(7500.0, math.nextafter(7500.0, math.inf)))
+        assert refine_local(start, cheap, narrow, max_iters=5) is start
+        # with only the length weighted, every poll point around the box's
+        # shortest design scores higher: the step halves down to 1e-3 of
+        # the width and the start comes back
+        config = ObjectiveConfig(weights=ObjectiveWeights(0.0, 0.0, 1.0, 0.0),
+                                 n_points=3, margin_samples=101,
+                                 options=cheap.options)
+        start = grid_search(ParameterBounds(), (3, 3, 3, 1), config)[0]
+        assert start.params.half_length_um == 3750.0
+        assert refine_local(start, config, ParameterBounds(),
+                            max_iters=40) is start
+
+    @pytest.mark.parametrize("ratio", [(0.15, 0.15), (0.1, 0.3)])
+    def test_one_batched_sweep_per_poll_inside_the_box(self, cheap,
+                                                       monkeypatch, ratio):
+        # each poll scores its +-step points of every free axis in one
+        # _evaluate call, one batched sweep of at most two profiles per
+        # axis, and no polled point leaves the box
+        bounds = ParameterBounds(target_ratio=ratio)
+        free = 1 + (ratio[0] < ratio[1])
+        start = evaluate_candidate(REFERENCE_PARAMS, cheap)
+        points, profiles = [], []
+
+        def counted_evaluate(batch, config):
+            points.append(list(batch))
+            return evaluate(batch, config)
+
+        def counted_sweep(layouts, *args):
+            profiles.append(len(layouts))
+            return sweep_designs(layouts, *args)
+
+        evaluate, sweep_designs = design._evaluate, design.sweep_designs
+        monkeypatch.setattr(design, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(design, "sweep_designs", counted_sweep)
+        refined = refine_local(start, cheap, bounds, max_iters=8)
+        assert refined.score < start.score
+        assert len(profiles) == len(points) <= 1 + 8
+        assert points[0] == [start.params] and profiles[0] == 1
+        assert all(1 <= n <= 2 * free for n in profiles[1:])
+        for p in (p for batch in points[1:] for p in batch):
+            assert (p.alpha_deg, p.separation_um) == (0.03, 22.0)
+            for value, (lo, hi) in ((p.half_length_um, bounds.half_length_um),
+                                    (p.target_ratio, bounds.target_ratio)):
+                assert lo <= value <= hi
 
     def test_perturbed_start_recovers_basin(self, cheap):
         base = refine_local(evaluate_candidate(REFERENCE_PARAMS, cheap), cheap,
-                            max_iters=40)
-        perturbed_params = CandidateParams(0.03, 22.0 * 1.1, 7500.0, 0.15)
+                            ParameterBounds(), max_iters=40)
+        perturbed_params = CandidateParams(0.03, 22.0, 7500.0 * 1.1, 0.15)
         perturbed = refine_local(evaluate_candidate(perturbed_params, cheap),
-                                 cheap, max_iters=40)
+                                 cheap, ParameterBounds(), max_iters=40)
         assert abs(perturbed.score - base.score) <= 0.02 * abs(base.score)
 
     def test_weight_validation(self):

@@ -111,14 +111,32 @@ OPTIMIZE_GOLDEN = {
 }
 
 
-def test_optimize_outputs_match_recorded_sha256(tmp_path):
-    argv = ["optimize", "--out", str(tmp_path)]
-    for item in OPTIMIZE_OVERRIDES:
+def _optimize_hashes(out, overrides):
+    argv = ["optimize", "--out", str(out)]
+    for item in overrides:
         argv += ["--override", item]
     assert main(argv) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
-    assert written == OPTIMIZE_GOLDEN
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()}
+
+
+def test_optimize_outputs_match_recorded_sha256(tmp_path):
+    assert _optimize_hashes(tmp_path, OPTIMIZE_OVERRIDES) == OPTIMIZE_GOLDEN
+
+
+# the same grid refined: its best (half-length 11250 um, the box edge) is a
+# local minimum of the compass search, whose step halves to its floor in 9
+# of the 10 polls, so the best is the grid's, marked refined
+OPTIMIZE_REFINE_GOLDEN = {
+    "optimize.csv": OPTIMIZE_GOLDEN["optimize.csv"],
+    "optimize_best.json":
+        "bc09e990c38425924b2da93947bc1b6debc6386737072976fd807282de59d4d9",
+}
+
+
+def test_refined_optimize_outputs_match_recorded_sha256(tmp_path):
+    overrides = OPTIMIZE_OVERRIDES + ("design.refine_iters=10",)
+    assert _optimize_hashes(tmp_path, overrides) == OPTIMIZE_REFINE_GOLDEN
 
 
 # The sweep, calibrate and optimize outputs come from the batched
