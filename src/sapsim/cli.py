@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -212,8 +211,8 @@ def cmd_optimize(cfg, out: Path) -> None:
 
 
 def cmd_calibrate(cfg, out: Path) -> None:
-    c = replace(cfg.coupling, kappa_ref=cfgmod.AUTO, delta_decay=cfgmod.AUTO)
-    layout, opts, model = _load(replace(cfg, coupling=c))
+    c = cfg.coupling._replace(kappa_ref=cfgmod.AUTO, delta_decay=cfgmod.AUTO)
+    layout, opts, model = _load(cfg._replace(coupling=c))
     traj = propagate(layout, model, c.lambda0, opts=opts)
     report = split_report(traj.final, layout.kind)
     _write_json(out / "calibrate.json", {

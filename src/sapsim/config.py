@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field, fields
+from collections import Counter, namedtuple
 
 from .errors import ConfigError
 from .geometry import GeometrySpec, Kind, build_layout
@@ -28,140 +28,80 @@ AUTO = "auto"
 DEFAULT_KAPPA_REF = 0.7175
 
 
-@dataclass(frozen=True)
-class Domain:
-    """The values a config key accepts.
+# section -> key -> (default, domain), the one declaration of the schema. A
+# domain is a tuple of the strings a key takes, or (lo, hi, flags): a finite
+# number between lo and hi (None leaves a side unbounded), where the flag
+# 'open_lo' or 'open_hi' excludes that bound and 'auto' also admits 'auto'.
+SECTIONS = {
+    "geometry": {
+        "kind": ("folded5", tuple(k.value for k in Kind)),
+        "half_length": (7500.0, (0, None, "open_lo")),
+        "outer_separation": (22.0, (0, None, "open_lo")),
+        "angle": (0.03, (0, 5, "")),
+        "width": (6.0, (0, None, "open_lo")),
+        "cut_fraction": (1.0, (0, 2, "open_lo")),
+        "separation_convention": ("center", ("center", "edge")),
+    },
+    "coupling": {
+        "target_ratio": (0.15, (0, 1, "open_lo open_hi")),
+        "kappa_ref": (DEFAULT_KAPPA_REF, (0, None, "auto")),
+        # um, or auto = calibrated from target_ratio
+        "delta_decay": (AUTO, (0, None, "open_lo auto")),
+        "rho": (1.0, (None, None, "")),
+        "detuning": (0.0, (None, None, "")),
+        "lambda0": (1550.0, (0, None, "open_lo")),
+        "crosstalk_target_db": (-20.0, (None, 0, "")),  # if kappa_ref = auto
+        "kappa_min": (0.05, (0, None, "open_lo")),
+        "kappa_max": (20.0, (None, None, "")),
+        "resolution": (0.02, (0, 0.02, "open_lo")),
+    },
+    "propagation": {
+        "rtol": (1e-10, (0, None, "open_lo")),
+        "atol": (1e-12, (0, None, "open_lo")),
+        "samples": (512, (2, 100_000, "")),
+        "wavelength": (1550.0, (0, None, "open_lo")),
+    },
+    "sweep": {
+        "lambda_min": (1500.0, (None, None, "")),
+        "lambda_max": (1630.0, (None, None, "")),
+        "n_points": (27, (1, 10_000, "")),
+    },
+    "farfield": {
+        "wavelength": (1560.0, (0, None, "open_lo")),
+        "theta_max": (0.15, (0, math.pi / 2, "open_lo")),
+        "n_points": (2001, (3, 1_000_000, "")),
+        "waist": (3.0, (0, None, "open_lo")),
+        "include_central_above": (0.05, (0, None, "")),
+    },
+    "design": {
+        "alpha_min": (0.015, (0, None, "")),
+        "alpha_max": (0.045, (None, None, "")),
+        "separation_min": (11.0, (0, None, "open_lo")),
+        "separation_max": (33.0, (None, None, "")),
+        "half_length_min": (3750.0, (0, None, "open_lo")),
+        "half_length_max": (11250.0, (None, None, "")),
+        "ratio_min": (0.15, (0, None, "open_lo")),
+        "ratio_max": (0.15, (None, 1, "open_hi")),
+        "steps_alpha": (5, (1, 1000, "")),
+        "steps_separation": (5, (1, 1000, "")),
+        "steps_half_length": (5, (1, 1000, "")),
+        "steps_ratio": (1, (1, 1000, "")),
+        "w_crosstalk": (1.0, (0, None, "")),
+        "w_imbalance": (1.0, (0, None, "")),
+        "w_length": (0.25, (0, None, "")),
+        "w_adiabaticity": (0.5, (0, None, "")),
+        "requirement_db": (-15.0, (None, None, "")),
+        "band_points": (9, (1, 1000, "")),
+        "refine_iters": (0, (0, 10_000, "")),
+        "budget": (2000, (1, 100_000, "")),
+    },
+}
 
-    Numbers must be finite and lie between ``lo`` and ``hi`` (None leaves a
-    side unbounded; an open end excludes its bound). A key with ``choices``
-    takes one of those strings; ``auto`` also admits the string 'auto'.
-    """
-
-    lo: float = None
-    hi: float = None
-    open_lo: bool = False
-    open_hi: bool = False
-    choices: tuple = ()
-    auto: bool = False
-
-    def describe(self) -> str:
-        if self.choices:
-            return "must be one of " + ", ".join(self.choices)
-        bounds = []
-        if self.lo is not None:
-            bounds.append(f"{'>' if self.open_lo else '>='} {self.lo!r}")
-        if self.hi is not None:
-            bounds.append(f"{'<' if self.open_hi else '<='} {self.hi!r}")
-        text = "must be " + " and ".join(bounds)
-        return text + " or 'auto'" if self.auto else text
-
-    def admits(self, value) -> bool:
-        if self.choices:
-            return value in self.choices
-        below = self.lo is not None and (
-            value <= self.lo if self.open_lo else value < self.lo)
-        above = self.hi is not None and (
-            value >= self.hi if self.open_hi else value > self.hi)
-        return not (below or above)
-
-
-def key(default, lo=None, hi=None, **domain):
-    """A config key with its default and its Domain."""
-    return field(default=default,
-                 metadata={"domain": Domain(lo, hi, **domain)})
-
-
-def positive(default):
-    """A config key that must be > 0."""
-    return key(default, 0, open_lo=True)
-
-
-@dataclass(frozen=True)
-class GeometrySection:
-    kind: str = key("folded5", choices=tuple(k.value for k in Kind))
-    half_length: float = positive(7500.0)
-    outer_separation: float = positive(22.0)
-    angle: float = key(0.03, 0, 5)
-    width: float = positive(6.0)
-    cut_fraction: float = key(1.0, 0, 2, open_lo=True)
-    separation_convention: str = key("center", choices=("center", "edge"))
-
-
-@dataclass(frozen=True)
-class CouplingSection:
-    target_ratio: float = key(0.15, 0, 1, open_lo=True, open_hi=True)
-    kappa_ref: object = key(DEFAULT_KAPPA_REF, 0, auto=True)
-    # um, or auto = calibrated from target_ratio
-    delta_decay: object = key(AUTO, 0, open_lo=True, auto=True)
-    rho: float = key(1.0)
-    detuning: float = key(0.0)
-    lambda0: float = positive(1550.0)
-    crosstalk_target_db: float = key(-20.0, hi=0)   # used when kappa_ref = auto
-    kappa_min: float = positive(0.05)
-    kappa_max: float = key(20.0)
-    resolution: float = key(0.02, 0, 0.02, open_lo=True)
-
-
-@dataclass(frozen=True)
-class PropagationSection:
-    rtol: float = positive(1e-10)
-    atol: float = positive(1e-12)
-    samples: int = key(512, 2, 100_000)
-    wavelength: float = positive(1550.0)
-
-
-@dataclass(frozen=True)
-class SweepSection:
-    lambda_min: float = key(1500.0)
-    lambda_max: float = key(1630.0)
-    n_points: int = key(27, 1, 10_000)
-
-
-@dataclass(frozen=True)
-class FarfieldSection:
-    wavelength: float = positive(1560.0)
-    theta_max: float = key(0.15, 0, math.pi / 2, open_lo=True)
-    n_points: int = key(2001, 3, 1_000_000)
-    waist: float = positive(3.0)
-    include_central_above: float = key(0.05, 0)
-
-
-@dataclass(frozen=True)
-class DesignSection:
-    alpha_min: float = key(0.015, 0)
-    alpha_max: float = key(0.045)
-    separation_min: float = positive(11.0)
-    separation_max: float = key(33.0)
-    half_length_min: float = positive(3750.0)
-    half_length_max: float = key(11250.0)
-    ratio_min: float = positive(0.15)
-    ratio_max: float = key(0.15, hi=1, open_hi=True)
-    steps_alpha: int = key(5, 1, 1000)
-    steps_separation: int = key(5, 1, 1000)
-    steps_half_length: int = key(5, 1, 1000)
-    steps_ratio: int = key(1, 1, 1000)
-    w_crosstalk: float = key(1.0, 0)
-    w_imbalance: float = key(1.0, 0)
-    w_length: float = key(0.25, 0)
-    w_adiabaticity: float = key(0.5, 0)
-    requirement_db: float = key(-15.0)
-    band_points: int = key(9, 1, 1000)
-    refine_iters: int = key(0, 0, 10_000)
-    budget: int = key(2000, 1, 100_000)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    geometry: GeometrySection = field(default_factory=GeometrySection)
-    coupling: CouplingSection = field(default_factory=CouplingSection)
-    propagation: PropagationSection = field(default_factory=PropagationSection)
-    sweep: SweepSection = field(default_factory=SweepSection)
-    farfield: FarfieldSection = field(default_factory=FarfieldSection)
-    design: DesignSection = field(default_factory=DesignSection)
-
-
-# section name -> section dataclass; each field's metadata holds its Domain
-SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
+# One immutable record per section, its fields defaulting to the table's;
+# a RunConfig holds one of each.
+RunConfig = namedtuple("RunConfig", SECTIONS, defaults=[
+    namedtuple(section, keys, defaults=[d for d, _ in keys.values()])()
+    for section, keys in SECTIONS.items()])
 
 
 def _finite(path: str, value: float) -> float:
@@ -170,63 +110,92 @@ def _finite(path: str, value: float) -> float:
     return value
 
 
-def _parse_value(path: str, raw, spec):
-    """``raw`` as the type of config field ``spec``, checked against its
-    Domain."""
-    domain = spec.metadata["domain"]
-    if domain.auto and isinstance(raw, str) and raw.strip().lower() == AUTO:
+def _check(path: str, value, domain):
+    """``value`` if ``domain`` admits it; else a ConfigError at ``path``."""
+    if isinstance(domain[0], str):
+        if value in domain:
+            return value
+        raise ConfigError(f"{path}: must be one of {', '.join(domain)}, "
+                          f"got {value!r}")
+    lo, hi, flags = domain
+    open_lo, open_hi = "open_lo" in flags, "open_hi" in flags
+    if not (lo is not None and (value <= lo if open_lo else value < lo) or
+            hi is not None and (value >= hi if open_hi else value > hi)):
+        return value
+    bounds = []
+    if lo is not None:
+        bounds.append(f"{'>' if open_lo else '>='} {lo!r}")
+    if hi is not None:
+        bounds.append(f"{'<' if open_hi else '<='} {hi!r}")
+    text = " and ".join(bounds) + (" or 'auto'" if "auto" in flags else "")
+    raise ConfigError(f"{path}: must be {text}, got {value!r}")
+
+
+def _parse_value(path: str, raw, default, domain):
+    """``raw`` as the type of ``default``, checked against ``domain``."""
+    if isinstance(domain[0], str):
+        return _check(path, str(raw).strip().lower(), domain)
+    auto = "auto" in domain[2]
+    if auto and isinstance(raw, str) and raw.strip().lower() == AUTO:
         return AUTO
-    if domain.choices:
-        value = str(raw).strip().lower()
-    else:
-        target = int if isinstance(spec.default, int) else float
-        try:
-            if isinstance(raw, bool):   # a JSON true/false is not a number
-                raise TypeError
-            if target is int:
-                value = int(str(raw).strip()) if isinstance(raw, str) else raw
-                if value != int(_finite(path, value)):
-                    raise ValueError
-                value = int(value)
-            else:
-                value = _finite(path, float(raw))
-        except (TypeError, ValueError, OverflowError):
-            expected = f"{target.__name__} or 'auto'" if domain.auto \
-                else target.__name__
-            raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
-    if not domain.admits(value):
-        raise ConfigError(f"{path}: {domain.describe()}, got {value!r}")
-    return value
+    target = int if isinstance(default, int) else float
+    try:
+        if isinstance(raw, bool):   # a JSON true/false is not a number
+            raise TypeError
+        if target is int:
+            value = int(str(raw).strip()) if isinstance(raw, str) else raw
+            if value != int(_finite(path, value)):
+                raise ValueError
+            value = int(value)
+        else:
+            value = _finite(path, float(raw))
+    except (TypeError, ValueError, OverflowError):
+        expected = target.__name__ + (" or 'auto'" if auto else "")
+        raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
+    return _check(path, value, domain)
 
 
 def _merge(raw: dict) -> RunConfig:
-    kwargs = {}
+    cfg = RunConfig()
+    sections = {}
     for section, data in raw.items():
         if section not in SECTIONS:
             raise ConfigError(f"{section}: unknown section")
-        cls = SECTIONS[section]
-        specs = {f.name: f for f in fields(cls)}
+        keys = SECTIONS[section]
         values = {}
         for name, value in data.items():
-            if name not in specs:
+            if name not in keys:
                 raise ConfigError(f"{section}.{name}: unknown key")
             values[name] = _parse_value(f"{section}.{name}", value,
-                                        specs[name])
-        kwargs[section] = cls(**values)
-    return RunConfig(**kwargs)
+                                        *keys[name])
+        sections[section] = getattr(cfg, section)._replace(**values)
+    return cfg._replace(**sections)
+
+
+def _json_object(pairs):
+    """A JSON object as a dict; one that repeats a key as the 1-tuple of the
+    first key it repeats (JSON itself parses to no tuple)."""
+    repeated = [k for k, n in Counter(k for k, _ in pairs).items() if n > 1]
+    return (repeated[0],) if repeated else dict(pairs)
 
 
 def _read_raw(text: str) -> dict:
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}")
-        if not isinstance(data, dict) or not all(
-                isinstance(v, dict) for v in data.values()):
-            raise ConfigError("JSON config must be an object of section objects")
+        if isinstance(data, tuple):
+            raise ConfigError(f"{data[0]}: duplicate section")
+        for section, keys in data.items():
+            if isinstance(keys, tuple):
+                raise ConfigError(f"{section}.{keys[0]}: duplicate key")
+            if not isinstance(keys, dict):
+                raise ConfigError(
+                    "JSON config must be an object of section objects")
         return data
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] is an unknown section, not inherited keys
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -40,7 +40,9 @@ COUNT_BOUNDS = [
 # on final amplitudes to within this at the default tolerances. Measured
 # max |da|: 7.8e-12 over the 27-point folded5 sweep, 9.8e-12 over the 45
 # (design, wavelength) systems of the default design grid, 3.3e-11 over
-# 60 randomly drawn sap3/fsap3/folded5 devices with detuning.
+# 60 randomly drawn sap3/fsap3/folded5 devices with detuning. It bounds
+# fixed devices only: a rare drawn batch differs by 1.23e-10, so
+# test_batch.py checks each route against an rtol 1e-13 solve instead.
 BATCH_DA = 1e-10
 
 TAN_ALPHA = math.tan(math.radians(ANGLE))

@@ -2,26 +2,36 @@
 
 ``propagate_batch`` integrates many systems with one DOP853 solve; every
 multi-system caller (sweeps, scans, calibration, the design grid) goes
-through it. These tests cross-check it, member by member, against the 1-D
-``propagate`` and the independent piecewise-constant ``propagate_oracle``,
-and check that a failing member fails the batch as it fails alone.
+through it. These tests check it and the 1-D ``propagate``, member by
+member, against a one-system solve at rtol 1e-13 and the independent
+piecewise-constant ``propagate_oracle``, and check that a failing member
+fails the batch as it fails alone.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sapsim import (GeometryError, IntegrationError, build_folded5,
-                    build_fsap3, build_sap3, calibrated_model, dop853,
-                    nominal_input, propagate, propagate_batch,
+from sapsim import (GeometryError, IntegrationError, PropagationOptions,
+                    build_folded5, build_fsap3, build_sap3, calibrated_model,
+                    dop853, nominal_input, propagate, propagate_batch,
                     propagate_oracle, propagator)
 
-from conftest import BATCH_DA, KAPPA_REF, LAM0, TARGET_RATIO
+from conftest import KAPPA_REF, LAM0, TARGET_RATIO
 
 # Acceptance criterion 1: agreement with the oracle at 20000 slices.
 ORACLE_BOUND = 1e-6
 ORACLE_SLICES = 20000
+
+# Each route's member at the default rtol against a one-system solve at
+# rtol 1e-13. Over 1800 drawn batches of this file's strategy (about 3900
+# members) the largest error was 1.06e-10, and the recorded draw below has
+# 1.32e-10 in its batched member: about 1.3 rtol, at either route. The two
+# routes err independently, so checking one against the other would need
+# twice that; each is held to ten times the default rtol instead.
+REFERENCE = PropagationOptions(rtol=1e-13, atol=1e-15)
+ROUTE_DA = 10 * PropagationOptions().rtol
 
 
 @st.composite
@@ -53,15 +63,33 @@ batches = st.one_of(st.lists(device(["sap3", "fsap3"]), min_size=1, max_size=4),
                     st.lists(device(["folded5"]), min_size=1, max_size=4))
 
 
+def folded5_member(half_length, sep, angle, width, kappa_ref, detuning, lam):
+    layout = build_folded5(half_length, sep, angle, width)
+    return layout, calibrated_model(layout, TARGET_RATIO, kappa_ref, LAM0,
+                                    detuning=detuning), lam
+
+
 @given(members=batches)
+# A drawn batch whose second member's batched and one-system finals
+# differed by 1.23e-10. Its log kept that member's values to the digits
+# below, and of the first member only the length and wavelength; the first
+# member's coupling is picked weak enough that the second sets the shared
+# steps, as it did then, and its batched final is 1.32e-10 from the
+# reference. In folded5 the separation, angle and width do not enter H.
+@example(members=[folded5_member(3993.0, 25.0, 0.03, 5.0, 0.5, 0.0, 1605.0),
+                  folded5_member(9408.0, 34.0, 0.015625, 5.0, 0.34375, 0.254,
+                                 1586.0)])
 @settings(max_examples=15, deadline=None)
 def test_batch_matches_scalar_and_oracle(members):
     layouts, models, lams = zip(*members)
     finals = propagate_batch(layouts, models, lams)
     for layout, model, lam, final in zip(layouts, models, lams, finals):
+        reference = propagate(layout, model, lam,
+                              opts=REFERENCE).final.amplitudes
         scalar = propagate(layout, model, lam).final.amplitudes
         assert final.z_um == layout.z_end_um and final.wavelength_nm == lam
-        assert np.max(np.abs(final.amplitudes - scalar)) <= BATCH_DA
+        assert np.max(np.abs(final.amplitudes - reference)) <= ROUTE_DA
+        assert np.max(np.abs(scalar - reference)) <= ROUTE_DA
     # the oracle costs ~0.1 s a system: check one member per batch
     layout, model, lam = members[0]
     oracle = propagate_oracle(layout, model, lam, nominal_input(layout, lam),

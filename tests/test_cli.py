@@ -5,7 +5,6 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +71,19 @@ class TestPropagateCommand:
     def test_unreadable_config_exit_code(self, tmp_path):
         assert main(["propagate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nhalf_length = 5000\n",
+        "[DEFAULT]\nrtol = 1e-9\n\n[geometry]\nkind = sap3\n",
+    ], ids=["alone", "beside_geometry"])
+    def test_ini_default_section_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["propagate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: DEFAULT: unknown section\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:
@@ -208,7 +220,7 @@ class TestOptimizeCommand:
                      "--override", "design.refine_iters=40"]) == 0
         header, rows = read_csv(tmp_path / "optimize.csv")
         best = json.loads((tmp_path / "optimize_best.json").read_text())
-        d = cfgmod.DesignSection()
+        d = cfgmod.RunConfig().design
         bounds = {"alpha_deg": (d.alpha_min, d.alpha_max),
                   "separation_um": (d.separation_min, d.separation_max),
                   "half_length_um": (d.half_length_min, d.half_length_max),
@@ -534,9 +546,9 @@ def test_import_does_not_load_the_integrator(tmp_path):
 
 
 NUMERIC_KEYS = [
-    f"{section}.{f.name}"
-    for section, cls in cfgmod.SECTIONS.items() for f in fields(cls)
-    if not f.metadata["domain"].choices
+    f"{section}.{key}"
+    for section, keys in cfgmod.SECTIONS.items()
+    for key, (_, domain) in keys.items() if not isinstance(domain[0], str)
 ]
 
 

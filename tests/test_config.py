@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import re
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -105,8 +106,9 @@ class TestParsing:
 
     @pytest.mark.parametrize("section,key,value", [
         ("farfield", "include_central_above", False),
-    ] + [(section, f.name, True) for section, cls in SECTIONS.items()
-         for f in fields(cls) if not f.metadata["domain"].choices])
+    ] + [(section, key, True) for section, keys in SECTIONS.items()
+         for key, (_, domain) in keys.items()
+         if not isinstance(domain[0], str)])
     def test_json_booleans_are_not_numbers(self, tmp_path, section, key,
                                            value):
         path = tmp_path / "run.json"
@@ -114,6 +116,19 @@ class TestParsing:
         with pytest.raises(ConfigError,
                            match=rf"^{section}\.{key}: expected .*, got "
                                  rf"{value}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"geometry": {"half_length": 5000, "half_length": 6000}}',
+         "geometry.half_length: duplicate key"),
+        ('{"geometry": {"kind": "sap3"}, "sweep": {}, "geometry": {}}',
+         "geometry: duplicate section"),
+    ], ids=["key", "section"])
+    def test_json_duplicates_rejected(self, tmp_path, text, message):
+        # json.loads would keep the last value; INI already rejects both
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -134,6 +149,27 @@ class TestParsing:
         diced = load_config(root / "fsap3_diced.json")
         assert diced.geometry.kind == "fsap3"
         assert diced.geometry.cut_fraction == 0.9
+
+
+def bounded_ends():
+    """(key path, bound, the next value outside it, the bound's operator)
+    for each bounded end of each numeric key of the schema."""
+    for section, keys in SECTIONS.items():
+        for name, (default, domain) in keys.items():
+            if isinstance(domain[0], str):
+                continue
+            lo, hi, flags = domain
+            for bound, side, op in (
+                    (lo, -1, ">" if "open_lo" in flags else ">="),
+                    (hi, 1, "<" if "open_hi" in flags else "<=")):
+                if bound is None:
+                    continue
+                outside = bound + side if isinstance(default, int) \
+                    else math.nextafter(bound, side * math.inf)
+                yield f"{section}.{name}", bound, outside, op
+
+
+BOUNDED_ENDS = list(bounded_ends())
 
 
 class TestOverridesAndValidation:
@@ -178,6 +214,23 @@ class TestOverridesAndValidation:
         with pytest.raises(ConfigError,
                            match=rf"^{re.escape(path)}: .*<= {bound}"):
             load_config(None, [f"{path}={bound + 1}"])
+
+    @pytest.mark.parametrize("path,bound,outside,op", BOUNDED_ENDS)
+    def test_each_bounded_end(self, path, bound, outside, op):
+        # an explicit decay length frees angle = 0 from the rule that a
+        # straight layout has no facet ratio to calibrate from
+        section, name = path.split(".")
+        fixed = ["coupling.delta_decay=4"]
+        rejected = rf"^{re.escape(path)}: must be .*{re.escape(op)} " \
+                   rf"{re.escape(repr(bound))}\b"
+        if "=" in op:
+            cfg = load_config(None, fixed + [f"{path}={bound!r}"])
+            assert getattr(getattr(cfg, section), name) == bound
+        else:
+            with pytest.raises(ConfigError, match=rejected):
+                load_config(None, fixed + [f"{path}={bound!r}"])
+        with pytest.raises(ConfigError, match=rejected):
+            load_config(None, fixed + [f"{path}={outside!r}"])
 
     @pytest.mark.parametrize("wavelength_key", [
         "propagation.wavelength", "farfield.wavelength"])
@@ -247,9 +300,9 @@ def test_readme_spells_out_every_key():
     bullets = dict(re.findall(r"^\* `\[(\w+)\]`(.*?)(?=^\* |^$|\Z)", doc,
                               flags=re.M | re.S))
     assert list(bullets) == list(SECTIONS)
-    for section, cls in SECTIONS.items():
-        for f in fields(cls):
-            assert f"`{f.name}`" in bullets[section], f"{section}.{f.name}"
+    for section, keys in SECTIONS.items():
+        for key in keys:
+            assert f"`{key}`" in bullets[section], f"{section}.{key}"
 
 
 def library_default(owner, name):
