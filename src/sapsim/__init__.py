@@ -11,7 +11,7 @@ from .propagator import (Hamiltonian, IntegratorStats, PropagationOptions,
                          StateVector, Trajectory, backpropagate_check,
                          hamiltonian_at, nominal_input, propagate,
                          propagate_batch, propagate_oracle, unit_state)
-from .analysis import (AdiabaticityProfile, EigenSystem, SplitReport,
+from .analysis import (AdiabaticityProfile, SplitReport,
                        adiabaticity_margin, dark_state, eigensystem,
                        loss_corrected_transfer, split_report)
 from .spectral import (ScanEntry, SpectralCurve, SpectralSummary,

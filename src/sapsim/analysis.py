@@ -20,31 +20,16 @@ import numpy as np
 from .coupling import CouplingModel
 from .errors import IntegrationError
 from .geometry import TOPOLOGY, ArrayLayout, Kind
-from .propagator import Hamiltonian, StateVector, coupling_chain, tridiagonal
+from .propagator import StateVector, coupling_chain, tridiagonal
 
 CROSSTALK_FLOOR_DB = -120.0
 DEGENERACY_GAP = 1e-12
 
 
-def _as_matrix(H) -> np.ndarray:
-    return np.asarray(H.matrix if isinstance(H, Hamiltonian) else H, dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Ascending eigenvalues and orthonormal eigenvectors (as columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    z_um: float = 0.0
-
-
-def eigensystem(H, z_um: float = None) -> EigenSystem:
-    """Exact symmetric eigendecomposition; eigenvalues ascend."""
-    M = _as_matrix(H)
-    w, V = np.linalg.eigh(M)
-    z = z_um if z_um is not None else (H.z_um if isinstance(H, Hamiltonian) else 0.0)
-    return EigenSystem(w, V, z)
+def eigensystem(M: np.ndarray) -> tuple:
+    """Exact symmetric eigendecomposition ``(w, V)``: ascending eigenvalues
+    and orthonormal eigenvectors as columns."""
+    return np.linalg.eigh(M)
 
 
 def _dark_vectors(k: np.ndarray, undefined=ValueError) -> np.ndarray:
@@ -84,7 +69,7 @@ def _dark_vectors(k: np.ndarray, undefined=ValueError) -> np.ndarray:
     return np.where(v[:, ref:ref + 1] < 0, -v, v)
 
 
-def dark_state(H) -> np.ndarray:
+def dark_state(M: np.ndarray) -> np.ndarray:
     """Normalized zero-eigenvalue supermode of a 3- or 5-guide matrix.
 
     Constructed from the null-space structure (exact zeros on the inclined
@@ -92,8 +77,8 @@ def dark_state(H) -> np.ndarray:
     3-guide device, guide 3 for the 5-guide one) is non-negative.
     Raises ValueError when both couplings vanish.
     """
-    M = _as_matrix(H)
-    return _dark_vectors(np.diagonal(M, offset=1)[None, :])[0]
+    k = np.diagonal(np.asarray(M, dtype=float), offset=1)
+    return _dark_vectors(k[None, :])[0]
 
 
 @dataclass(frozen=True, eq=False)

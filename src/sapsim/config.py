@@ -14,7 +14,7 @@ import json
 import math
 from collections import Counter, namedtuple
 
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .geometry import GeometrySpec, Kind, build_layout
 from .propagator import PropagationOptions
 from .coupling import (CouplingModel, calibrate_strength, calibrated_model,
@@ -271,7 +271,12 @@ def geometry_spec(cfg: RunConfig) -> GeometrySpec:
 
 
 def layout_from(cfg: RunConfig):
-    return build_layout(geometry_spec(cfg))
+    """The layout per config; a layout the geometry rejects is a config error
+    of the geometry section."""
+    try:
+        return build_layout(geometry_spec(cfg))
+    except GeometryError as exc:
+        raise ConfigError(f"geometry: {exc}") from exc
 
 
 def model_from(cfg: RunConfig, layout, opts: PropagationOptions = None):

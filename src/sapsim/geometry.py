@@ -4,21 +4,26 @@ Units: transverse positions, separations, widths and z are in micrometers.
 All separations are center-to-center. Layouts are immutable after
 construction and safe to share between threads.
 
-Three kinds are supported:
+Three kinds are supported, each placed by its row of ``TOPOLOGY``:
 
 * ``SAP3``:    two straight outer guides (1, 3) a distance ``s`` apart and an
-  inclined middle guide (2) that starts near guide 3 and ends near guide 1,
-  crossing the midpoint at z = L. Total length 2L.
-* ``FSAP3``:   the same structure truncated at z = f*L (fractional device).
+  inclined middle guide (2) that starts near guide 3 (strong kappa_23 first,
+  the counterintuitive ordering needed for 1 -> 3 transfer) and ends near
+  guide 1, crossing the midpoint at z = L. Total length 2L.
+* ``FSAP3``:   the same structure cut at z = f*L (fractional device): f = 1
+  freezes the equal superposition at the midpoint, f != 1 models dicing
+  imprecision and f = 2 is the full SAP3.
 * ``FOLDED5``: two mirror-image SAP3 halves sharing the central guide 3;
   straight guides 1, 3, 5 at 0, s, 2s; inclined guides 2 and 4 start near
-  the outer guides and end near the center. Total length 2L.
+  the outer guides and end near the center, so the zero-eigenvalue
+  supermode evolves from guide 3 into the symmetric superposition of
+  guides 1 and 5. Total length 2L.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -38,23 +43,33 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True)
 class Topology:
-    """The roles of a kind's guides, by 1-based label.
+    """A kind's guides by 1-based label: their roles and where they run.
 
-    ``ideal_phase_rad`` is the output phase arg(a_out1 * conj(a_out2)) the
-    device is designed for.
+    Guide i runs along x(z) = offsets[i] * s + tilts[i] * (L - z) * tan(alpha):
+    its offset is in units of the outer separation s, its tilt in units of
+    L tan(alpha) (slope -tilt * tan(alpha)), and every guide passes its
+    offset at z = L. ``ideal_phase_rad`` is the output phase
+    arg(a_out1 * conj(a_out2)) the device is designed for.
     """
 
     input_label: int
     central_label: int
     output_labels: tuple
-    inclined_labels: tuple
+    offsets: tuple
+    tilts: tuple
     ideal_phase_rad: float
+
+    @property
+    def inclined_labels(self) -> tuple:
+        """The guides with a tilt, which carry the detuning (also at angle 0)."""
+        return tuple(label for label, tilt in enumerate(self.tilts, 1) if tilt)
 
 
 TOPOLOGY = {
-    Kind.SAP3: Topology(1, 2, (1, 3), (2,), math.pi),
-    Kind.FSAP3: Topology(1, 2, (1, 3), (2,), math.pi),
-    Kind.FOLDED5: Topology(3, 3, (1, 5), (2, 4), 0.0),
+    Kind.SAP3: Topology(1, 2, (1, 3), (0, .5, 1), (0, 1, 0), math.pi),
+    Kind.FSAP3: Topology(1, 2, (1, 3), (0, .5, 1), (0, 1, 0), math.pi),
+    Kind.FOLDED5: Topology(3, 3, (1, 5), (0, .5, 1, 1.5, 2), (0, -1, 0, 1, 0),
+                           0.0),
 }
 
 
@@ -90,7 +105,8 @@ class WaveguidePath:
 
 @dataclass(frozen=True)
 class GeometrySpec:
-    """Build parameters of a layout, kept for rebuilds in parameter scans."""
+    """Build parameters of a layout, kept for rebuilds in parameter scans.
+    Only fsap3 reads ``cut_fraction``."""
 
     kind: Kind
     half_length_um: float
@@ -109,14 +125,8 @@ class GeometrySpec:
         if length_factor <= 0:
             raise GeometryError("length_factor must be positive")
         tan_a = math.tan(math.radians(self.angle_deg)) / length_factor
-        return GeometrySpec(
-            kind=self.kind,
-            half_length_um=self.half_length_um * length_factor,
-            outer_separation_um=self.outer_separation_um,
-            angle_deg=math.degrees(math.atan(tan_a)),
-            width_um=self.width_um,
-            cut_fraction=self.cut_fraction,
-        )
+        return replace(self, half_length_um=self.half_length_um * length_factor,
+                       angle_deg=math.degrees(math.atan(tan_a)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +190,14 @@ class ArrayLayout:
 
 
 def _validate(layout: ArrayLayout) -> ArrayLayout:
-    # Paths are straight, so checking transverse order and minimum separation
-    # at both ends of the device covers every interior z.
+    # Paths are straight, so checking finite positions, transverse order and
+    # minimum separation at both ends of the device covers every interior z.
     for z in (0.0, layout.z_end_um):
         xs = [p.position(z) for p in layout.paths]
+        for p, x in zip(layout.paths, xs):
+            if not math.isfinite(x):
+                raise GeometryError(
+                    f"guide {p.label} position at z = {z:g} um is not finite")
         for a, b, pa, pb in zip(xs, xs[1:], layout.paths, layout.paths[1:]):
             if b <= a:
                 raise GeometryError(
@@ -197,88 +211,50 @@ def _validate(layout: ArrayLayout) -> ArrayLayout:
     return layout
 
 
-def _check_common(half_length: float, outer_separation: float, angle_deg: float,
-                  width: float):
-    if half_length <= 0:
+def build_layout(spec: GeometrySpec) -> ArrayLayout:
+    """The layout a GeometrySpec describes, placed by its kind's TOPOLOGY row."""
+    try:
+        kind = Kind(spec.kind)
+    except ValueError:
+        raise GeometryError(f"unknown layout kind {spec.kind!r}") from None
+    cut = spec.cut_fraction if kind is Kind.FSAP3 else 1.0
+    if not 0 < cut <= 2:
+        raise GeometryError("cut_fraction must lie in (0, 2]")
+    L, s, angle, width = (spec.half_length_um, spec.outer_separation_um,
+                          spec.angle_deg, spec.width_um)
+    if L <= 0:
         raise GeometryError("half_length must be positive")
-    if outer_separation <= 0:
+    if s <= 0:
         raise GeometryError("outer_separation must be positive")
-    if angle_deg < 0:
+    if angle < 0:
         raise GeometryError("angle must be non-negative")
     if width <= 0:
         raise GeometryError("width must be positive")
+    tan_a = math.tan(math.radians(angle))
+    row = TOPOLOGY[kind]
+    paths = tuple(
+        WaveguidePath(offset * s + tilt * L * tan_a, -tilt * tan_a, label)
+        if tilt else WaveguidePath(offset * s, 0.0, label)
+        for label, (offset, tilt) in enumerate(zip(row.offsets, row.tilts), 1))
+    z_end = cut * L if kind is Kind.FSAP3 else 2 * L
+    return _validate(ArrayLayout(paths, z_end, width, kind,
+                                 GeometrySpec(kind, L, s, angle, width, cut)))
 
 
+# Shorthands for build_layout of one kind.
 def build_sap3(half_length: float, outer_separation: float, angle_deg: float,
                width: float) -> ArrayLayout:
-    """Three-guide adiabatic-passage coupler of total length 2L.
-
-    Guides 1 and 3 run parallel at separation ``outer_separation``; guide 2
-    is inclined with slope -tan(angle) and crosses the midpoint at z = L, so
-    it starts nearer guide 3 (strong kappa_23 first, the counterintuitive
-    ordering needed for 1 -> 3 transfer) and ends nearer guide 1.
-    """
-    _check_common(half_length, outer_separation, angle_deg, width)
-    tan_a = math.tan(math.radians(angle_deg))
-    s = outer_separation
-    paths = (
-        WaveguidePath(0.0, 0.0, 1),
-        WaveguidePath(s / 2 + half_length * tan_a, -tan_a, 2),
-        WaveguidePath(s, 0.0, 3),
-    )
-    spec = GeometrySpec(Kind.SAP3, half_length, outer_separation, angle_deg, width)
-    return _validate(ArrayLayout(paths, 2 * half_length, width, Kind.SAP3, spec))
+    return build_layout(GeometrySpec(Kind.SAP3, half_length, outer_separation,
+                                     angle_deg, width))
 
 
 def build_fsap3(half_length: float, outer_separation: float, angle_deg: float,
                 width: float, cut_fraction: float) -> ArrayLayout:
-    """SAP3 truncated at z = cut_fraction * L (fractional coupler).
-
-    cut_fraction = 1 cuts exactly at the midpoint, freezing the equal
-    superposition; values != 1 model dicing imprecision. cut_fraction = 2
-    reproduces the full SAP3 device.
-    """
-    if not 0 < cut_fraction <= 2:
-        raise GeometryError("cut_fraction must lie in (0, 2]")
-    full = build_sap3(half_length, outer_separation, angle_deg, width)
-    spec = GeometrySpec(Kind.FSAP3, half_length, outer_separation, angle_deg,
-                        width, cut_fraction)
-    return _validate(ArrayLayout(full.paths, cut_fraction * half_length, width,
-                                 Kind.FSAP3, spec))
+    return build_layout(GeometrySpec(Kind.FSAP3, half_length, outer_separation,
+                                     angle_deg, width, cut_fraction))
 
 
 def build_folded5(half_length: float, outer_separation: float, angle_deg: float,
                   width: float) -> ArrayLayout:
-    """Five-guide splitter: two mirrored SAP3 halves sharing guide 3.
-
-    Straight guides 1, 3, 5 sit at x = 0, s, 2s. The inclined guides 2 and 4
-    start near the outer guides and end near the center, so the zero-eigenvalue
-    supermode evolves from the central guide into the symmetric superposition
-    of guides 1 and 5. Mirror symmetry about guide 3 holds at every z.
-    """
-    _check_common(half_length, outer_separation, angle_deg, width)
-    tan_a = math.tan(math.radians(angle_deg))
-    s = outer_separation
-    paths = (
-        WaveguidePath(0.0, 0.0, 1),
-        WaveguidePath(s / 2 - half_length * tan_a, tan_a, 2),
-        WaveguidePath(s, 0.0, 3),
-        WaveguidePath(3 * s / 2 + half_length * tan_a, -tan_a, 4),
-        WaveguidePath(2 * s, 0.0, 5),
-    )
-    spec = GeometrySpec(Kind.FOLDED5, half_length, outer_separation, angle_deg, width)
-    return _validate(ArrayLayout(paths, 2 * half_length, width, Kind.FOLDED5, spec))
-
-
-def build_layout(spec: GeometrySpec) -> ArrayLayout:
-    """Construct the layout described by a GeometrySpec."""
-    if spec.kind == Kind.SAP3:
-        return build_sap3(spec.half_length_um, spec.outer_separation_um,
-                          spec.angle_deg, spec.width_um)
-    if spec.kind == Kind.FSAP3:
-        return build_fsap3(spec.half_length_um, spec.outer_separation_um,
-                           spec.angle_deg, spec.width_um, spec.cut_fraction)
-    if spec.kind == Kind.FOLDED5:
-        return build_folded5(spec.half_length_um, spec.outer_separation_um,
-                             spec.angle_deg, spec.width_um)
-    raise GeometryError(f"unknown layout kind {spec.kind!r}")
+    return build_layout(GeometrySpec(Kind.FOLDED5, half_length,
+                                     outer_separation, angle_deg, width))

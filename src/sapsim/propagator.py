@@ -33,10 +33,6 @@ class Hamiltonian:
     matrix: np.ndarray   # (n, n) real symmetric, 1/mm
     z_um: float
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:

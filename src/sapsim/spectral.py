@@ -109,10 +109,13 @@ def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
 
     ``parameter`` is one of kappa_ref / rho / detuning (model knobs) or
     alpha / separation / cut_fraction (geometry rebuilds from the layout's
-    build parameters). Geometrically invalid points are marked, not fatal.
+    build parameters; only fsap3 has a cut). Geometrically invalid points
+    are marked, not fatal.
     """
     if parameter not in SCAN_PARAMETERS:
         raise ValueError(f"parameter must be one of {SCAN_PARAMETERS}")
+    if parameter == "cut_fraction" and layout.kind != Kind.FSAP3:
+        raise ValueError("cut_fraction scans need an fsap3 layout")
     if parameter in ("alpha", "separation", "cut_fraction") and layout.spec is None:
         raise ValueError("layout carries no build parameters to rebuild from")
 

@@ -85,6 +85,21 @@ class TestPropagateCommand:
             "config error: DEFAULT: unknown section\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override,message", [
+        ("geometry.angle=4", "guides 1 and 2 cross or touch at z = 0 um"),
+        ("geometry.width=30", "guides 1 and 2 overlap at z = 0 um: "
+                              "separation 7.073 um < width 30 um"),
+        ("geometry.half_length=1e300",
+         "guides 1 and 2 cross or touch at z = 0 um"),
+    ])
+    def test_rejected_layout_names_the_geometry_section(self, tmp_path, capsys,
+                                                        override, message):
+        # each key passes alone; the layout they build is invalid
+        assert main(["propagate", "--out", str(tmp_path),
+                     "--override", override]) == 2
+        assert capsys.readouterr().err == f"config error: geometry: {message}\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestSweepCommand:
     def test_summary_matches_csv(self, tmp_path):
@@ -176,8 +191,8 @@ class TestDarkstateCommand:
         layout = layout_from(cfg)
         model = model_from(cfg, layout)
         for row in rows:
-            H = hamiltonian_at(layout, model, row[0], 1610.0)
-            assert np.allclose(row[1:6], eigensystem(H).eigenvalues,
+            H = hamiltonian_at(layout, model, row[0], 1610.0).matrix
+            assert np.allclose(row[1:6], eigensystem(H)[0],
                                rtol=0.0, atol=1e-14)
             assert np.allclose(row[6:11], dark_state(H), rtol=0.0, atol=1e-15)
             assert row[7] == 0.0 and row[9] == 0.0

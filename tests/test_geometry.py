@@ -249,3 +249,79 @@ class TestTopology:
         expected[1::2] = 0.3
         assert np.array_equal(diagonal[0], expected)
         assert facet_separations(layout) == (11.0, 11.0)
+
+
+def closed_form_paths(kind, half_length, sep, tan_a):
+    """(x0, slope) per guide as each kind was first written out by hand."""
+    if kind is Kind.FOLDED5:
+        return [(0.0, 0.0), (sep / 2 - half_length * tan_a, tan_a),
+                (sep, 0.0), (3 * sep / 2 + half_length * tan_a, -tan_a),
+                (2 * sep, 0.0)]
+    return [(0.0, 0.0), (sep / 2 + half_length * tan_a, -tan_a), (sep, 0.0)]
+
+
+def same_float(a, b):
+    """Equal under ==, and of the same sign when both are zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestBuildLayout:
+    @pytest.mark.parametrize("angle", [ANGLE, 0.0])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_paths_match_the_closed_forms(self, kind, angle):
+        layout = build_layout(GeometrySpec(kind, HALF_LENGTH, SEPARATION,
+                                           angle, WIDTH))
+        tan_a = math.tan(math.radians(angle))
+        expected = closed_form_paths(kind, HALF_LENGTH, SEPARATION, tan_a)
+        assert [p.label for p in layout.paths] == list(
+            range(1, len(expected) + 1))
+        for path, (x0, slope) in zip(layout.paths, expected):
+            assert same_float(path.x0, x0), (path, x0)
+            assert same_float(path.slope, slope), (path, slope)
+        assert layout.z_end_um == (HALF_LENGTH if kind is Kind.FSAP3
+                                   else 2 * HALF_LENGTH)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_kind_given_as_a_string_builds_the_enum_kind(self, kind):
+        # reports read layout.kind.value, and TOPOLOGY is keyed by the enum
+        layout = build_layout(GeometrySpec(kind.value, HALF_LENGTH,
+                                           SEPARATION, ANGLE, WIDTH))
+        assert layout.kind is kind and layout.spec.kind is kind
+        assert layout.input_label == build_layout(
+            GeometrySpec(kind, HALF_LENGTH, SEPARATION, ANGLE,
+                         WIDTH)).input_label
+
+    @pytest.mark.parametrize("spec,message", [
+        (("ring", -1.0, 0.0, -1.0, 0.0, 0.0), "unknown layout kind 'ring'"),
+        (("fsap3", -1.0, 0.0, -1.0, 0.0, 0.0),
+         "cut_fraction must lie in (0, 2]"),
+        (("sap3", -1.0, 0.0, -1.0, 0.0, 0.0), "half_length must be positive"),
+        (("folded5", 1.0, 0.0, -1.0, 0.0), "outer_separation must be positive"),
+        (("sap3", 1.0, 1.0, -1.0, 0.0), "angle must be non-negative"),
+        (("fsap3", 1.0, 1.0, 0.0, 0.0, 2.0), "width must be positive"),
+    ])
+    def test_checks_run_in_order(self, spec, message):
+        # the first failing check names itself, and an unknown kind is a
+        # GeometryError, never a KeyError
+        with pytest.raises(GeometryError) as info:
+            build_layout(GeometrySpec(*spec))
+        assert str(info.value) == message
+
+    def test_cut_is_kept_only_where_it_cuts(self):
+        spec = GeometrySpec(Kind.FOLDED5, HALF_LENGTH, SEPARATION, ANGLE,
+                            WIDTH, 0.5)
+        assert build_layout(spec).spec.cut_fraction == 1.0
+        assert build_layout(spec).z_end_um == 2 * HALF_LENGTH
+
+    @pytest.mark.parametrize("spec,message", [
+        ((Kind.FOLDED5, 1.0, 1e308, 0.0, 1.0),
+         "guide 5 position at z = 0 um is not finite"),
+        ((Kind.SAP3, 7500.0, math.nan, ANGLE, WIDTH),
+         "guide 1 position at z = 0 um is not finite"),
+        ((Kind.SAP3, 1e308, SEPARATION, 0.0, WIDTH),
+         "guide 1 position at z = inf um is not finite"),
+    ])
+    def test_non_finite_positions_rejected(self, spec, message):
+        with pytest.raises(GeometryError) as info:
+            build_layout(GeometrySpec(*spec))
+        assert str(info.value) == message

@@ -129,6 +129,17 @@ class TestRobustnessScan:
         with pytest.raises(ValueError):
             robustness_scan(folded5_ref, model_ref, "voltage", [1.0], LAM0)
 
+    @pytest.mark.parametrize("fixture", ["sap3_ref", "folded5_ref"])
+    def test_cut_fraction_scan_needs_a_cut_device(self, request, model_ref,
+                                                  fixture):
+        # sap3 and folded5 run their full length 2L whatever the cut, so a
+        # scan would return one split marked valid at every value
+        layout = request.getfixturevalue(fixture)
+        with pytest.raises(ValueError,
+                           match="^cut_fraction scans need an fsap3 layout$"):
+            robustness_scan(layout, model_ref, "cut_fraction",
+                            [0.5, 1.0, 1.5], LAM0)
+
     def test_geometry_scan_needs_build_parameters(self, model_ref, folded5_ref):
         from sapsim import ArrayLayout
         bare = ArrayLayout(folded5_ref.paths, folded5_ref.z_end_um,
