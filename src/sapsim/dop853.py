@@ -21,16 +21,20 @@ not bit-identical to anything; they differ from per-system solves by
 roundoff at the tolerance level. Every solve stops with IntegrationError
 after MAX_STEPS trial steps.
 
-A batch step costs a few numpy calls per stage, whatever the batch size.
-The weights of stages 1-11, of the new state and of the two error
-estimates form one 14-row table whose nonzero rows in each column are
-one contiguous run (_COLUMNS), so each stage enters every later sum in one
-in-place multiply-add as soon as it is known. Each sum still gets its
-terms element by element, in order of stage and without the zero
-weights, so a member's arithmetic does not depend on the others, and no
-BLAS call is made (see _batch_trial_step). The 12 evaluation points of a
-trial step are known when it starts, so ``fun`` takes them all at once
-and can do its point-dependent work (sapsim's couplings) in one call.
+A batch step costs a fixed number of numpy calls per stage, whatever the
+batch size, each writing with a positional ``out`` into a workspace made
+once per solve (_batch_start) or into buffers the RHS binds to it. The
+weights of stages 1-11, of the new state and of the two error estimates
+form one 14-row table whose nonzero rows in each column are one
+contiguous run (_COLUMNS), so each stage enters every later sum as soon as
+it is known. Each sum still gets its terms element by element, in order
+of stage and without the zero weights, so a member's arithmetic does not
+depend on the others, and no BLAS call is made (see _batch_trial_step).
+Each call does what numpy does for the plain expression, with the same
+operands, order and casts, so the workspace changes no bit. The 12
+evaluation points of a trial step are known when it starts, so the RHS
+does its point-dependent work (sapsim's couplings) for all of them in one
+call.
 
 Method: E. Hairer, S. P. Norsett, G. Wanner, "Solving Ordinary
 Differential Equations I: Nonstiff Problems", Sec. II.4-II.6 (step
@@ -77,6 +81,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -299,7 +304,7 @@ _EXTRA_STAGES = tuple(zip(_A[N_STAGES + 1:], _C[N_STAGES + 1:]))
 # (74 weights in all), so one operation adds a stage to every sum it enters.
 _SUMS = np.vstack([_A[1:N_STAGES, :N_STAGES], _B, _E5[:N_STAGES],
                    _E3[:N_STAGES]])
-_ROW_B, _ROW_E5, _ROW_E3 = N_STAGES - 1, N_STAGES, N_STAGES + 1
+_ROW_B, _ROW_E5 = N_STAGES - 1, N_STAGES      # E3's row follows E5's
 
 
 def _column_runs(table):
@@ -398,27 +403,35 @@ def _member_rms(x):
     return np.sqrt(np.mean(x.real ** 2 + x.imag ** 2, axis=1))
 
 
-def _batch_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
-    """The smallest over the members (rows of y0) of _initial_step.
-
-    ``fun`` (the batch interface, see ``solve``) gets each member's trial
+def _batch_start(fun, t0, y0, t_bound, direction, rtol, atol):
+    """The start of a batched solve: ``(work, f0, h_abs)``, its workspace
+    (see _batch_trial_step), the derivative at t0 and the smallest over the
+    members (rows of y0) of _initial_step, each member at its own trial
     point. A NaN estimate (from a member whose RHS overflows) is passed
-    over, so that it cannot make the batch's step NaN.
-    """
+    over, so that it cannot make the batch's step NaN."""
+    stage, k, f0, f1 = (np.empty_like(y0) for _ in range(4))
+    sums, wk = np.empty((2, len(_SUMS)) + y0.shape, dtype=y0.dtype)
+    columns = tuple((s - 1, sums[s - 1], w, wk[:hi - lo], sums[lo:hi])
+                    for s, (lo, hi, w) in enumerate(_COLUMNS[1:], start=1))
+    at, rate = fun(stage)
+    at(np.full((1, 1, 1), t0))
+    stage[...] = y0
+    rate(0, f0)
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _member_rms(y0 / scale)
     d1 = _member_rms(f0 / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.fmin(h0, interval_length)
-    y1 = y0 + (h0 * direction)[:, None] * f0
-    [rate] = fun((t0 + h0 * direction)[None, :, None])
-    f1 = rate(y1)
+    np.add(y0, (h0 * direction)[:, None] * f0, stage)
+    at((t0 + h0 * direction)[None, :, None])
+    rate(0, f1)
     d2 = _member_rms((f1 - f0) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.fmax(1e-6, h0 * 1e-3),
                   (0.01 / np.fmax(d1, d2)) ** (1 / (7 + 1)))
-    return min(np.nanmin(np.fmin(100 * h0, h1), initial=np.inf),
-               interval_length)
+    work = (at, rate, stage, k, sums, np.empty((N_STAGES, 1, 1)), columns)
+    return work, f0, min(np.nanmin(np.fmin(100 * h0, h1), initial=np.inf),
+                         interval_length)
 
 
 def _stages(fun, t, y, h, K, stages, first):
@@ -452,37 +465,47 @@ def _trial_step(fun, t, y, f, h, K, rtol, atol):
     return y_new, f_new, _error_norm(K[:N_STAGES + 1], h, scale)
 
 
-def _batch_trial_step(fun, t, y, f, h, sums, rtol, atol):
+def _batch_trial_step(work, t, y, f, h, rtol, atol):
     """One trial step of a batch: ``(y_new, f_new, error_norm)``, with the
     largest of the members' error norms (Hairer, Norsett and Wanner keep
     one norm per system; a pooled norm over the batch would let one badly
     resolved member hide behind the others).
 
-    ``sums``, (14, B, n), receives the rows of _SUMS. Each stage is added
-    to every later sum as soon as it is known (_COLUMNS), so each row gets
-    its terms element by element, in order of stage and without the zero
-    weights: a member's result does not depend on its place in the batch.
-    No BLAS: OpenBLAS threads a matrix-vector product as large as the
-    default design grid's, and on a 2-core host whose other core was busy
-    its threads waited on each other so long that the grid took 2.6 s
-    instead of 0.3 s. The couplings of all 12 evaluation points of the
-    step come from one call of ``fun``.
+    ``work`` (_batch_start) holds the bound RHS (``at``, ``rate``), the
+    stage state, one stage derivative, the 14 sums, the 12 evaluation
+    points, and per stage s = 1-11 the views it writes through: s - 1, the
+    sum that forms its state, its weights, scratch for w * k and the sums
+    it enters. Only y_new and f_new, which the solve keeps, are new arrays.
+    Each row of ``sums`` gets its terms element by element, in order of
+    stage and without the zero weights: a member's result does not depend
+    on its place in the batch. No BLAS: OpenBLAS threads a matrix-vector
+    product as large as the default design grid's, and on a 2-core host
+    whose other core was busy its threads waited on each other so long
+    that the grid took 2.6 s instead of 0.3 s.
     """
-    rates = fun((t + _C[1:N_STAGES + 1] * h)[:, None, None])
+    at, rate, stage, k, sums, points, columns = work
+    np.multiply(_C[1:N_STAGES + 1, None, None], h, points)
+    np.add(t, points, points)
+    at(points)
     # Stage 0 enters every sum, so its terms start them in place of a zero
     # fill; adding 0 turns a -0 into +0, as 0 + w K does.
-    np.multiply(_COLUMNS[0][2], f, out=sums)
+    np.multiply(_COLUMNS[0][2], f, sums)
     sums += 0
-    for s, (lo, hi, w) in enumerate(_COLUMNS[1:], start=1):
-        k = rates[s - 1](y + sums[s - 1] * h)
-        sums[lo:hi] += w * k
-    y_new = y + h * sums[_ROW_B]
-    f_new = rates[-1](y_new)
+    h_complex = np.array(h, dtype=complex)    # numpy's cast of h, made once
+    for s, sum_s, w, wk, run in columns:
+        np.multiply(sum_s, h_complex, stage)
+        np.add(y, stage, stage)
+        rate(s, k)
+        np.multiply(w, k, wk)
+        np.add(run, wk, run)
+    np.multiply(h_complex, sums[_ROW_B], stage)
+    np.add(y, stage, stage)
+    y_new, f_new = stage.copy(), np.empty_like(y)
+    rate(N_STAGES - 1, f_new)
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    err5 = sums[_ROW_E5] / scale
-    err3 = sums[_ROW_E3] / scale
-    err5_norm_2 = np.sum(err5.real ** 2 + err5.imag ** 2, axis=1)
-    err3_norm_2 = np.sum(err3.real ** 2 + err3.imag ** 2, axis=1)
+    err = sums[_ROW_E5:] / scale                  # E5 and E3
+    err5_norm_2, err3_norm_2 = np.add.reduce(err.real ** 2 + err.imag ** 2,
+                                             axis=2)
     denom = err5_norm_2 + 0.01 * err3_norm_2
     norms = np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
     norms[denom == 0] = 0.0
@@ -497,10 +520,12 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
     is bit-identical to scipy's ``solve_ivp``; ``fun(t, y)`` returns the
     complex derivative. A 2-D y0, (B, n), is a batch of B independent
     systems (see the module notes): its ``Solution.y`` is (B, n, m) and it
-    has no dense output. For a batch, ``fun(ts)`` takes S evaluation
-    points at once, as an (S, 1, 1) array of points shared by the members
-    or an (S, B, 1) array of per-member points, and returns S functions:
-    the s-th maps a (B, n) state to its complex derivative at ts[s].
+    has no dense output. For a batch, ``fun(stage)`` is called once per
+    solve with the (B, n) array the solve writes each stage's state to; it
+    returns ``(at, rate)``, whose buffers serve that solve only. ``at(ts)``
+    takes the 12 points of a trial step, as a (12, 1, 1) array, or one point
+    as a (1, 1, 1) or per-member (1, B, 1) array; ``rate(s, out)`` writes
+    the complex derivative at ts[s] of the state in ``stage`` to ``out``.
 
     Raises IntegrationError when the required step falls below 10 ulp of t
     or after MAX_STEPS trial steps, and ValueError for an empty span, a
@@ -525,27 +550,25 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
     if atol < 0:
         raise ValueError("atol must be non-negative")
 
-    nfev = 0
-    if batched:
-        def counted(ts):
-            nonlocal nfev
-            nfev += len(ts)
-            return fun(ts)
-
-        initial_step, trial_step = _batch_initial_step, _batch_trial_step
-        work = np.empty((len(_SUMS),) + y.shape, dtype=y.dtype)
-    else:
-        def counted(t, y):
-            nonlocal nfev
-            nfev += 1
-            return fun(t, y)
-
-        initial_step, trial_step = _initial_step, _trial_step
-        work = np.empty((N_STAGES_EXTENDED,) + y.shape, dtype=y.dtype)
     direction = np.sign(t_bound - t0)
     with np.errstate(**_TRIAL_ERRSTATE):
-        f = counted(np.full((1, 1, 1), t0))[0](y) if batched else counted(t0, y)
-        h_abs = initial_step(counted, t0, y, t_bound, f, direction, rtol, atol)
+        if batched:
+            work, f, h_abs = _batch_start(fun, t0, y, t_bound, direction,
+                                          rtol, atol)
+            trial_step = partial(_batch_trial_step, work)
+        else:
+            nfev = 0
+
+            def counted(t, y):
+                nonlocal nfev
+                nfev += 1
+                return fun(t, y)
+
+            work = np.empty((N_STAGES_EXTENDED,) + y.shape, dtype=y.dtype)
+            f = counted(t0, y)
+            h_abs = _initial_step(counted, t0, y, t_bound, f, direction,
+                                  rtol, atol)
+            trial_step = partial(_trial_step, counted, K=work)
 
         t = t0
         n_trials = 0
@@ -571,8 +594,8 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
                 h = t_new - t
                 h_abs = np.abs(h)
 
-                y_new, f_new, error_norm = trial_step(counted, t, y, f, h,
-                                                      work, rtol, atol)
+                y_new, f_new, error_norm = trial_step(t, y, f, h, rtol=rtol,
+                                                      atol=atol)
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = MAX_FACTOR
@@ -604,6 +627,8 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
             if direction * (t - t_bound) >= 0:
                 break
 
+    if batched:     # the start, one initial-step probe, 12 points a trial
+        nfev = 2 + N_STAGES * n_trials
     ts, ys = np.array(ts), np.array(ys)
     sol = DenseOutput(ts, ys, np.array(Fs)) if dense_output else None
     return Solution(ts, np.moveaxis(ys, 0, -1), nfev, sol)

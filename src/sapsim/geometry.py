@@ -59,7 +59,7 @@ class Topology:
     tilts: tuple
     ideal_phase_rad: float
 
-    @property
+    @cached_property
     def inclined_labels(self) -> tuple:
         """The guides with a tilt, which carry the detuning (also at angle 0)."""
         return tuple(label for label, tilt in enumerate(self.tilts, 1) if tilt)
@@ -158,7 +158,7 @@ class ArrayLayout:
         """The two guides carrying the intended split outputs."""
         return TOPOLOGY[self.kind].output_labels
 
-    @property
+    @cached_property
     def inclined_labels(self) -> tuple:
         """The inclined guides, which carry the detuning (also at angle 0)."""
         return TOPOLOGY[self.kind].inclined_labels

@@ -9,9 +9,10 @@ internally while the public surface stays in um.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import dop853
 from .coupling import CouplingModel
@@ -113,7 +114,9 @@ def coupling_chain(layouts, models, lams):
     shaped (B, n-1) for a scalar z or a (B, 1) array of per-member
     positions, and (S, B, n-1) for S positions given as an (S, 1, 1) or
     (S, B, 1) array; for one member and z of shape (..., 1) it is
-    (..., n-1).
+    (..., n-1). ``couplings(z_um, x, out)`` evaluates in place in the
+    float array x and writes the result to ``out`` (float or complex),
+    both of the result's shape.
     ``diagonal``, (B, n), holds the detuning on the inclined guides and
     zero elsewhere.
     """
@@ -129,8 +132,12 @@ def coupling_chain(layouts, models, lams):
                           for label in range(1, lay.n_guides + 1)]
                          for lay, mod, _ in members])
 
-    def couplings(z_um):
-        return kref * np.exp((dref - np.abs(dx0 + dslope * z_um)) / delta_lam)
+    def couplings(z_um, x=None, out=None):
+        # kref * exp((dref - |dx0 + dslope z|) / delta), in place in x
+        x = np.multiply(dslope, z_um, x)
+        np.abs(np.add(dx0, x, x), x)
+        np.exp(np.divide(np.subtract(dref, x, x), delta_lam, x), x)
+        return np.multiply(kref, x, out)
 
     return couplings, diagonal
 
@@ -146,11 +153,21 @@ def tridiagonal(k: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return H.reshape(k.shape[:-1] + (n, n))
 
 
+@lru_cache(maxsize=16)
+def _system_chain(layout: ArrayLayout, model: CouplingModel, lam: float):
+    """coupling_chain of one system, kept for the next call at another z
+    (H along a device); a layout is keyed by identity. The diagonal is
+    read-only, as every caller with the same key gets it."""
+    couplings, diagonal = coupling_chain([layout], [model], [lam])
+    diagonal.flags.writeable = False
+    return couplings, diagonal
+
+
 def hamiltonian_at(layout: ArrayLayout, model: CouplingModel, z: float,
                    lam: float) -> Hamiltonian:
     """Coupled-mode matrix at position z (um) and wavelength lam (nm)."""
     layout._check_z(z)
-    couplings, diagonal = coupling_chain([layout], [model], [lam])
+    couplings, diagonal = _system_chain(layout, model, lam)
     return Hamiltonian(tridiagonal(couplings(z)[0], diagonal[0]), z)
 
 
@@ -161,9 +178,8 @@ def _rhs(layouts, models, lams, span_um):
     mm (span UM_PER_MM): the result is ``rhs(t, a)``. A (B, 1) array is a
     batch, with a (B, n) state, stepping in each member's unit span (span
     z_end), so that members of any length step together: the result is
-    ``dop853.solve``'s batch interface, ``rates(ts)``, which evaluates the
-    couplings at all S points of ``ts`` in one call and returns S functions
-    of the state.
+    ``dop853.solve``'s batch interface, ``bind(a)``, which makes the
+    buffers of one solve and returns its ``(at, rate)``.
 
     Raises IntegrationError, naming the first such member's wavelength,
     when some member's H is not finite at either end ("non-finite
@@ -188,18 +204,48 @@ def _rhs(layouts, models, lams, span_um):
         raise IntegrationError(f"device length {layouts[i].z_end_um} um is "
                                f"0 mm in floating point at lam = {lams[i]} nm")
     gain = 1j * span_um / UM_PER_MM
-    shape = np.shape(span_um)[:-1] + (-1,)    # the state's: (n,) or (B, n)
-    diagonal = diagonal.reshape(shape)
-
-    def apply(k, a):
-        out = diagonal * a
-        out[..., :-1] += k * a[..., 1:]
-        out[..., 1:] += k * a[..., :-1]
-        return gain * out
-
     if np.ndim(span_um) == 0:
+        diagonal = diagonal[0]
+
+        def apply(k, a):
+            out = diagonal * a
+            out[..., :-1] += k * a[..., 1:]
+            out[..., 1:] += k * a[..., :-1]
+            return gain * out
+
         return lambda t, a: apply(couplings(t * span_um)[0], a)
-    return lambda ts: [partial(apply, k) for k in couplings(ts * span_um)]
+    # A batch does what apply does, operation by operation, into buffers;
+    # the diagonal, gain and couplings are stored as complex, the values
+    # numpy would cast them to for the products with a complex state.
+    diagonal = diagonal.astype(complex)
+    gain = np.broadcast_to(gain, diagonal.shape).copy()
+
+    def bind(a):
+        (B, n), S = a.shape, dop853.N_STAGES
+        z, x = np.empty((S, B, 1)), np.empty((S, B, n - 1))
+        k = np.empty((S, B, n - 1), dtype=complex)
+        # pair[0] = a[:, :-1] and pair[1] = a[:, 1:]: one multiply makes
+        # the products with both neighbours. at(ts) fills all S rows of k;
+        # one point (a (1, 1, 1) or (1, B, 1) ts) fills each row with it.
+        pair = as_strided(a, (2, B, n - 1), (a.itemsize,) + a.strides,
+                          writeable=False)
+        products, acc = np.empty(pair.shape, dtype=complex), np.empty_like(a)
+        rows, (from_below, from_above) = tuple(k), products
+        lower, upper = acc[:, :-1], acc[:, 1:]
+
+        def at(ts):
+            couplings(np.multiply(ts, span_um, z), x, k)
+
+        def rate(s, out):
+            np.multiply(diagonal, a, acc)
+            np.multiply(rows[s], pair, products)
+            np.add(lower, from_above, lower)
+            np.add(upper, from_below, upper)
+            np.multiply(gain, acc, out)
+
+        return at, rate
+
+    return bind
 
 
 def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list:

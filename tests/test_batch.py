@@ -5,8 +5,14 @@ multi-system caller (sweeps, scans, calibration, the design grid) goes
 through it. These tests check it and the 1-D ``propagate``, member by
 member, against a one-system solve at rtol 1e-13 and the independent
 piecewise-constant ``propagate_oracle``, and check that a failing member
-fails the batch as it fails alone.
+fails the batch as it fails alone. The workspace route of the batch step
+is checked bit for bit against a frozen copy of the allocating route
+(``batch_oracle``).
 """
+
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from sapsim import (GeometryError, IntegrationError, PropagationOptions,
                     dop853, nominal_input, propagate, propagate_batch,
                     propagate_oracle, propagator)
 
+import batch_oracle
 from conftest import KAPPA_REF, LAM0, TARGET_RATIO
 
 # Acceptance criterion 1: agreement with the oracle at 20000 slices.
@@ -123,6 +130,18 @@ def test_failing_member_raises_its_own_message(folded5_ref, kappa_ref):
     assert "lam = 1565.0 nm" in str(batched.value)
 
 
+def test_overflowing_batch_warns_nothing(folded5_ref):
+    # i H a overflows in the workspace's arrays: the solve fails as before,
+    # with no numpy RuntimeWarning on the way
+    bad = calibrated_model(folded5_ref, TARGET_RATIO, 1e300, LAM0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError,
+                           match="^Required step size is less than"):
+            propagator.batch_finals([folded5_ref] * 2, [bad] * 2,
+                                    [1500.0, 1630.0])
+
+
 def test_non_finite_member_named_in_the_batch(folded5_ref):
     # the batched solve itself (before propagate_batch's one-at-a-time
     # rerun) names the wavelength of its non-finite member
@@ -136,9 +155,10 @@ def test_non_finite_member_named_in_the_batch(folded5_ref):
 
 @pytest.mark.parametrize("shape, fun", [
     (3, lambda t, y: 1e6j * y),
-    # a batch's fun takes the step's evaluation points and returns one
-    # function of the state per point
-    ((2, 3), lambda ts: [lambda y: 1e6j * y] * len(ts)),
+    # a batch's fun binds to the solve's stage state and returns at(ts),
+    # which takes the step's evaluation points, and rate(s, out)
+    ((2, 3), lambda stage: (lambda ts: None,
+                            lambda s, out: np.multiply(1e6j, stage, out))),
 ], ids=["system", "batch"])
 def test_step_budget_ends_a_fast_oscillation(shape, fun):
     # y' = i 1e6 y over [0, 1] needs about 1e6 steps; the solve stops at
@@ -208,20 +228,27 @@ def test_column_sums_match_per_term_sums_bit_for_bit(K, h):
 
     rng = np.random.default_rng(1)
     y = rng.normal(size=K.shape[1:]) + 1j * rng.normal(size=K.shape[1:])
-    inputs = []
+    points, inputs = [], []
 
-    def fun(ts):
-        assert ts.shape == (12, 1, 1)
-        return [lambda a, k=k: inputs.append(a) or k for k in K[1:]]
+    def fun(stage):
+        def rate(s, out):
+            inputs.append(stage.copy())
+            out[...] = K[s + 1]
 
-    sums = np.empty((14,) + y.shape, dtype=complex)
-    y_new, f_new, _ = dop853._batch_trial_step(fun, 0.0, y, K[0], h, sums,
+        return points.append, rate
+
+    work, _, _ = dop853._batch_start(fun, 0.0, y, 1.0, 1.0, 1e-6, 1e-9)
+    del points[:], inputs[:]
+    y_new, f_new, _ = dop853._batch_trial_step(work, 0.0, y, K[0], h,
                                                1e-6, 1e-9)
+    [ts] = points
+    assert bits(ts) == bits(0.0 + dop853._C[1:13, None, None] * h)
     assert bits(f_new) == bits(K[12])
     for s, a in enumerate(inputs[:11], start=1):
         assert bits(a) == bits(y + row_sum(dop853._A[s, :s]) * h)
     assert bits(inputs[11]) == bits(y_new)
     assert bits(y_new) == bits(y + h * row_sum(dop853._B))
+    sums = work[4]                     # (at, rate, stage, k, sums, ...)
     assert bits(sums[12]) == bits(row_sum(dop853._E5))
     assert bits(sums[13]) == bits(row_sum(dop853._E3))
 
@@ -239,3 +266,70 @@ def test_member_order_does_not_change_a_member_bits(folded5_ref):
                                        lams[::-1])
     assert [bits(f.amplitudes) for f in forward] == \
         [bits(f.amplitudes) for f in backward[::-1]]
+
+
+@st.composite
+def seeded_batches(draw):
+    """B devices of one kind, B in {1, 2, 9, 45}, with rho drawn in [0, 2]
+    and the detuning zero or drawn in [-2, 2] /mm."""
+    kind = draw(st.sampled_from(["sap3", "fsap3", "folded5"]))
+    size = draw(st.sampled_from([1, 2, 9, 45]))
+    detuned = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(size):
+        args = (rng.uniform(3000.0, 9000.0), rng.uniform(26.0, 34.0),
+                rng.uniform(0.01, 0.03), 3.0)
+        layout = (build_fsap3(*args, rng.uniform(0.6, 2.0)) if kind == "fsap3"
+                  else build_sap3(*args) if kind == "sap3"
+                  else build_folded5(*args))
+        model = calibrated_model(
+            layout, TARGET_RATIO, rng.uniform(0.2, 2.0), LAM0,
+            rho=rng.uniform(0.0, 2.0),
+            detuning=rng.uniform(-2.0, 2.0) if detuned else 0.0)
+        members.append((layout, model, rng.uniform(1500.0, 1630.0)))
+    return members
+
+
+def finals_bits(members):
+    finals = propagator.batch_finals(*zip(*members))
+    return np.array([f.amplitudes for f in finals]).view(np.uint64)
+
+
+@given(members=seeded_batches())
+@settings(max_examples=24, derandomize=True, deadline=None)
+def test_workspace_route_matches_the_allocating_route_bit_for_bit(members):
+    expected = batch_oracle.finals(*zip(*members)).view(np.uint64)
+    assert np.array_equal(finals_bits(members), expected)
+
+
+def test_solves_share_no_state(folded5_ref, model_ref, model_sap3, sap3_ref):
+    # each solve makes its own workspace: solves A, B, A back to back, and
+    # four threads running A or B five times each, give the bits of each
+    # solve run alone
+    lams = np.linspace(1500.0, 1630.0, 7)
+    first = [(folded5_ref, model_ref, lam) for lam in lams]
+    second = [(sap3_ref, model_sap3, lam) for lam in lams[:3]]
+    alone = [finals_bits(first), finals_bits(second)]
+    for members, expected in zip([first, second, first], alone + alone[:1]):
+        assert np.array_equal(finals_bits(members), expected)
+
+    results = {}
+
+    def run(i):
+        results[i] = [finals_bits([first, second][i % 2]) for _ in range(5)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(4):
+        assert len(results[i]) == 5
+        assert all(np.array_equal(got, alone[i % 2]) for got in results[i])

@@ -95,18 +95,26 @@ class TestRhs:
                 span = layout.z_end_um if batched else UM_PER_MM
                 rhs = _rhs([layout], [model], [lam],
                            np.array([[span]]) if batched else span)
-                zs = rng.uniform(0.0, layout.z_end_um, 25)
-                # a batch's rhs takes all points at once, as an (S, 1, 1)
-                # array, and returns one function of the state per point
-                rates = rhs((zs / span)[:, None, None]) if batched else [
-                    lambda a, t=z / span: rhs(t, a) for z in zs]
-                assert len(rates) == len(zs)
-                for z, rate in zip(zs, rates):
+                zs = rng.uniform(0.0, layout.z_end_um, 24)
+                if batched:
+                    # a batch's rhs binds to a stage state and evaluates
+                    # the 12 points of a trial step at once, as a (12, 1, 1)
+                    # array; rate(s, out) is the derivative at point s
+                    stage = np.empty((1, layout.n_guides), dtype=complex)
+                    at, rate = rhs(stage)
+                for i, z in enumerate(zs):
                     a = (rng.normal(size=layout.n_guides)
                          + 1j * rng.normal(size=layout.n_guides))
                     H = hamiltonian_at(layout, model, z, lam).matrix
                     expected = 1j * span / UM_PER_MM * (H @ a)
-                    got = rate(a[None] if batched else a)
+                    if batched:
+                        if i % 12 == 0:
+                            at((zs[i:i + 12] / span)[:, None, None])
+                        stage[0] = a
+                        got = np.full_like(stage, np.nan)
+                        rate(i % 12, got)
+                    else:
+                        got = rhs(z / span, a)
                     assert got.shape == (a[None] if batched else a).shape
                     assert np.max(np.abs(got.ravel() - expected)) \
                         <= 1e-14 * np.max(np.abs(expected))
