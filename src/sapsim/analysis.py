@@ -121,11 +121,11 @@ def adiabaticity_margin(layout: ArrayLayout, model: CouplingModel, lam: float,
                                f"float at lam = {lam} nm")
     couplings, diagonal = coupling_chain([layout], [model], [lam])
     with np.errstate(over="ignore", invalid="ignore"):    # checked next
-        k = couplings(zs[:, None])
+        k = couplings(zs[:, None, None])[..., 0]
     darks = _dark_vectors(
         k, lambda reason: IntegrationError(f"{reason} at lam = {lam} nm"))
     dpsi = np.gradient(darks, dz_mm, axis=0)
-    w, V = np.linalg.eigh(tridiagonal(k, diagonal[0]))
+    w, V = np.linalg.eigh(tridiagonal(k, diagonal[:, 0]))
 
     dark_idx = np.argmax(np.abs(np.einsum("sij,si->sj", V, darks)), axis=1)
     others = np.arange(layout.n_guides) != dark_idx[:, None]

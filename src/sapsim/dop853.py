@@ -11,9 +11,9 @@ module costs nothing beyond numpy, where importing scipy's ODE package
 pulls in about 0.6 s of unrelated modules (quadrature, special functions).
 
 ``solve`` reads the scope from the rank of the start state: a 1-D state
-of n components is one system, in scipy's scope; a 2-D (B, n) state is a
-batch of B independent systems stepped together, so that Python overhead
-is paid once per step rather than once per system. Each member keeps its
+of n components is one system, in scipy's scope; a 2-D (n, B) state is a
+batch of B independent systems, one per column, stepped together, so that
+Python overhead is paid once per step, not per system. Each member keeps its
 own error norm and its own initial-step estimate; the batch steps with
 the largest norm and the smallest estimate, so no member is resolved more
 coarsely than it would be alone. scipy has no batch mode, so batches are
@@ -31,7 +31,9 @@ it is known. Each sum still gets its terms element by element, in order
 of stage and without the zero weights, so a member's arithmetic does not
 depend on the others, and no BLAS call is made (see _batch_trial_step).
 Each call does what numpy does for the plain expression, with the same
-operands, order and casts, so the workspace changes no bit. The 12
+operands, order and casts, so the workspace changes no bit. Members come
+last, so every call runs numpy's contiguous loops, and the sums over the
+guides reduce a per-member copy (_member_squares) to keep their bits. The 12
 evaluation points of a trial step are known when it starts, so the RHS
 does its point-dependent work (sapsim's couplings) for all of them in one
 call.
@@ -309,7 +311,7 @@ _ROW_B, _ROW_E5 = N_STAGES - 1, N_STAGES      # E3's row follows E5's
 
 def _column_runs(table):
     """(lo, hi, weights) per column: rows lo:hi hold its nonzero weights,
-    shaped (hi - lo, 1, 1) to scale a (B, n) stage. They are stored as
+    shaped (hi - lo, 1, 1) to scale an (n, B) stage. They are stored as
     complex, as numpy would cast them on every use (that cast halves the
     speed of the multiply-add at 666 members); the values are exact."""
     runs = []
@@ -368,7 +370,7 @@ class DenseOutput:
 @dataclass(frozen=True, eq=False)
 class Solution:
     t: np.ndarray          # (m,) accepted step points, t[0] = t0, t[-1] = t_bound
-    y: np.ndarray          # (n, m) states at those points; (B, n, m) for a batch
+    y: np.ndarray          # (n, m) states there; a batch's final (n, B) only
     nfev: int              # right-hand-side evaluations
     sol: DenseOutput = None
 
@@ -398,18 +400,24 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
+def _member_squares(x):
+    """|x|^2 of an (..., n, B) array as a C-contiguous (..., B, n) copy:
+    from 8 guides on, numpy sums a row in another order than it sums rows."""
+    return np.swapaxes(x.real ** 2 + x.imag ** 2, -1, -2).copy()
+
+
 def _member_rms(x):
-    """RMS of each row of x."""
-    return np.sqrt(np.mean(x.real ** 2 + x.imag ** 2, axis=1))
+    """RMS of each member (column) of x."""
+    return np.sqrt(np.mean(_member_squares(x), axis=1))
 
 
 def _batch_start(fun, t0, y0, t_bound, direction, rtol, atol):
     """The start of a batched solve: ``(work, f0, h_abs)``, its workspace
     (see _batch_trial_step), the derivative at t0 and the smallest over the
-    members (rows of y0) of _initial_step, each member at its own trial
+    members (columns of y0) of _initial_step, each member at its own trial
     point. A NaN estimate (from a member whose RHS overflows) is passed
     over, so that it cannot make the batch's step NaN."""
-    stage, k, f0, f1 = (np.empty_like(y0) for _ in range(4))
+    stage, k, f0, f1 = np.empty((4,) + y0.shape, dtype=y0.dtype)
     sums, wk = np.empty((2, len(_SUMS)) + y0.shape, dtype=y0.dtype)
     columns = tuple((s - 1, sums[s - 1], w, wk[:hi - lo], sums[lo:hi])
                     for s, (lo, hi, w) in enumerate(_COLUMNS[1:], start=1))
@@ -423,8 +431,8 @@ def _batch_start(fun, t0, y0, t_bound, direction, rtol, atol):
     d1 = _member_rms(f0 / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.fmin(h0, interval_length)
-    np.add(y0, (h0 * direction)[:, None] * f0, stage)
-    at((t0 + h0 * direction)[None, :, None])
+    np.add(y0, h0 * direction * f0, stage)
+    at((t0 + h0 * direction)[None, None, :])
     rate(0, f1)
     d2 = _member_rms((f1 - f0) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.fmax(1e-6, h0 * 1e-3),
@@ -476,9 +484,9 @@ def _batch_trial_step(work, t, y, f, h, rtol, atol):
     points, and per stage s = 1-11 the views it writes through: s - 1, the
     sum that forms its state, its weights, scratch for w * k and the sums
     it enters. Only y_new and f_new, which the solve keeps, are new arrays.
-    Each row of ``sums`` gets its terms element by element, in order of
-    stage and without the zero weights: a member's result does not depend
-    on its place in the batch. No BLAS: OpenBLAS threads a matrix-vector
+    Each sum gets its terms element by element, in order of stage and
+    without the zero weights: a member's result does not depend on its
+    place in the batch. No BLAS: OpenBLAS threads a matrix-vector
     product as large as the default design grid's, and on a 2-core host
     whose other core was busy its threads waited on each other so long
     that the grid took 2.6 s instead of 0.3 s.
@@ -503,11 +511,10 @@ def _batch_trial_step(work, t, y, f, h, rtol, atol):
     y_new, f_new = stage.copy(), np.empty_like(y)
     rate(N_STAGES - 1, f_new)
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    err = sums[_ROW_E5:] / scale                  # E5 and E3
-    err5_norm_2, err3_norm_2 = np.add.reduce(err.real ** 2 + err.imag ** 2,
-                                             axis=2)
+    err5_norm_2, err3_norm_2 = np.add.reduce(             # E5 and E3
+        _member_squares(sums[_ROW_E5:] / scale), axis=2)
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    norms = np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
+    norms = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
     norms[denom == 0] = 0.0
     return y_new, f_new, norms.max()
 
@@ -518,14 +525,15 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
 
     The rank of y0 sets the scope. A 1-D y0 is one system, and every step
     is bit-identical to scipy's ``solve_ivp``; ``fun(t, y)`` returns the
-    complex derivative. A 2-D y0, (B, n), is a batch of B independent
-    systems (see the module notes): its ``Solution.y`` is (B, n, m) and it
-    has no dense output. For a batch, ``fun(stage)`` is called once per
-    solve with the (B, n) array the solve writes each stage's state to; it
-    returns ``(at, rate)``, whose buffers serve that solve only. ``at(ts)``
-    takes the 12 points of a trial step, as a (12, 1, 1) array, or one point
-    as a (1, 1, 1) or per-member (1, B, 1) array; ``rate(s, out)`` writes
-    the complex derivative at ts[s] of the state in ``stage`` to ``out``.
+    complex derivative. A 2-D y0, (n, B), is a batch of B independent
+    systems, one column each (see the module notes): its ``Solution.y`` is
+    the final (n, B) state alone, and it has no dense output. For a batch,
+    ``fun(stage)`` is called once per solve with the C-contiguous (n, B)
+    array the solve writes each stage's state to; it returns ``(at,
+    rate)``, whose buffers serve that solve only. ``at(ts)`` takes the 12
+    points of a trial step, as a (12, 1, 1) array, or one point as a
+    (1, 1, 1) or per-member (1, 1, B) array; ``rate(s, out)`` writes the
+    complex derivative at ts[s] of the state in ``stage`` to ``out``.
 
     Raises IntegrationError when the required step falls below 10 ulp of t
     or after MAX_STEPS trial steps, and ValueError for an empty span, a
@@ -623,12 +631,13 @@ def solve(fun, t0: float, t_bound: float, y0, rtol: float, atol: float,
 
             t, y, f = t_new, y_new, f_new
             ts.append(t)
-            ys.append(y)
+            if not batched:
+                ys.append(y)
             if direction * (t - t_bound) >= 0:
                 break
 
     if batched:     # the start, one initial-step probe, 12 points a trial
-        nfev = 2 + N_STAGES * n_trials
+        return Solution(np.array(ts), y, 2 + N_STAGES * n_trials)
     ts, ys = np.array(ts), np.array(ys)
     sol = DenseOutput(ts, ys, np.array(Fs)) if dense_output else None
     return Solution(ts, np.moveaxis(ys, 0, -1), nfev, sol)

@@ -20,8 +20,8 @@ from .errors import IntegrationError
 from .geometry import ArrayLayout
 
 UM_PER_MM = 1000.0
-# Members per batched solve; bounds the memory of the stage arrays
-# (16 x 4096 x n complex values) whatever the size of a sweep or grid.
+# Members per batched solve. Its workspace, 35 (n, B) and 14 (n - 1, B)
+# complex and 12 (n - 1, B) float arrays, is 17 MB at n = 5 (21 MB at peak).
 BATCH_SIZE = 4096
 # Oracle slices decomposed per batched eigh call; bounds its memory.
 _ORACLE_BATCH = 4096
@@ -104,33 +104,33 @@ def coupling_chain(layouts, models, lams):
     Member b is (layouts[b], models[b], lams[b]), wavelengths in nm; the
     layouts share one guide count n. One system is a batch of one. Every
     per-member quantity below (dx0, dslope, delta(lam), kappa_ref, d_ref and
-    the diagonal) carries a leading member axis.
+    the diagonal) carries a trailing member axis, so that a batch's
+    neighbours are contiguous rows.
 
     ``couplings(z_um)`` returns the n-1 nearest-neighbor rates (1/mm)
 
         k_bi(z) = kappa_ref_b * exp(-(|dx0_bi + dslope_bi * z| - d_ref_b)
                                     / delta_b(lam_b)),
 
-    shaped (B, n-1) for a scalar z or a (B, 1) array of per-member
-    positions, and (S, B, n-1) for S positions given as an (S, 1, 1) or
-    (S, B, 1) array; for one member and z of shape (..., 1) it is
-    (..., n-1). ``couplings(z_um, x, out)`` evaluates in place in the
+    shaped (n-1, B) for a scalar z or a (B,) array of per-member
+    positions, and (S, n-1, B) for S positions given as an (S, 1, 1) or
+    (S, 1, B) array. ``couplings(z_um, x, out)`` evaluates in place in the
     float array x and writes the result to ``out`` (float or complex),
     both of the result's shape.
-    ``diagonal``, (B, n), holds the detuning on the inclined guides and
+    ``diagonal``, (n, B), holds the detuning on the inclined guides and
     zero elsewhere.
     """
     members = list(zip(layouts, models, lams))
     if len({lay.n_guides for lay, _, _ in members}) > 1:
         raise ValueError("a batch needs one guide count")
-    dx0 = np.array([lay.gaps[0] for lay, _, _ in members])
-    dslope = np.array([lay.gaps[1] for lay, _, _ in members])
+    dx0, dslope = (np.array([lay.gaps[i] for lay, _, _ in members]).T.copy()
+                   for i in (0, 1))
     delta_lam, kref, dref = np.array(
-        [[[mod.decay_length(lam)], [mod.kappa_ref], [mod.d_ref]]
-         for _, mod, lam in members]).transpose(1, 0, 2)
+        [[mod.decay_length(lam), mod.kappa_ref, mod.d_ref]
+         for _, mod, lam in members]).T.copy()[:, None]
     diagonal = np.array([[mod.detuning if label in lay.inclined_labels else 0.0
                           for label in range(1, lay.n_guides + 1)]
-                         for lay, mod, _ in members])
+                         for lay, mod, _ in members]).T.copy()
 
     def couplings(z_um, x=None, out=None):
         # kref * exp((dref - |dx0 + dslope z|) / delta), in place in x
@@ -160,7 +160,7 @@ def _system_chain(layout: ArrayLayout, model: CouplingModel, lam: float):
     read-only, as every caller with the same key gets it."""
     couplings, diagonal = coupling_chain([layout], [model], [lam])
     diagonal.flags.writeable = False
-    return couplings, diagonal
+    return couplings, diagonal[:, 0]
 
 
 def hamiltonian_at(layout: ArrayLayout, model: CouplingModel, z: float,
@@ -168,15 +168,15 @@ def hamiltonian_at(layout: ArrayLayout, model: CouplingModel, z: float,
     """Coupled-mode matrix at position z (um) and wavelength lam (nm)."""
     layout._check_z(z)
     couplings, diagonal = _system_chain(layout, model, lam)
-    return Hamiltonian(tridiagonal(couplings(z)[0], diagonal[0]), z)
+    return Hamiltonian(tridiagonal(couplings(z)[:, 0], diagonal), z)
 
 
 def _rhs(layouts, models, lams, span_um):
     """da/dt = i (span/1 mm) H(t span) a for the members (as in
     coupling_chain), applied without forming H; t is z in units of the
     span. A scalar ``span_um`` is one system, with a 1-D state, stepping in
-    mm (span UM_PER_MM): the result is ``rhs(t, a)``. A (B, 1) array is a
-    batch, with a (B, n) state, stepping in each member's unit span (span
+    mm (span UM_PER_MM): the result is ``rhs(t, a)``. A (1, B) array is a
+    batch, with an (n, B) state, stepping in each member's unit span (span
     z_end), so that members of any length step together: the result is
     ``dop853.solve``'s batch interface, ``bind(a)``, which makes the
     buffers of one solve and returns its ``(at, rate)``.
@@ -191,21 +191,21 @@ def _rhs(layouts, models, lams, span_um):
     fails alone, so both routes accept the same devices.
     """
     couplings, diagonal = coupling_chain(layouts, models, lams)
-    z_end_um = np.array([[lay.z_end_um] for lay in layouts])
+    z_end_um = np.array([lay.z_end_um for lay in layouts])
     with np.errstate(over="ignore", invalid="ignore"):    # checked next
-        ends = np.hstack([couplings(0.0), couplings(z_end_um), diagonal])
-    finite = np.isfinite(ends).all(axis=1)
+        ends = np.vstack([couplings(0.0), couplings(z_end_um), diagonal])
+    finite = np.isfinite(ends).all(axis=0)
     if not finite.all():
         lam = lams[np.argmin(finite)]
         raise IntegrationError(f"non-finite Hamiltonian at lam = {lam} nm")
-    zero_length = z_end_um[:, 0] / UM_PER_MM == 0.0
+    zero_length = z_end_um / UM_PER_MM == 0.0
     if zero_length.any():
         i = np.argmax(zero_length)
         raise IntegrationError(f"device length {layouts[i].z_end_um} um is "
                                f"0 mm in floating point at lam = {lams[i]} nm")
     gain = 1j * span_um / UM_PER_MM
     if np.ndim(span_um) == 0:
-        diagonal = diagonal[0]
+        diagonal = diagonal[:, 0]
 
         def apply(k, a):
             out = diagonal * a
@@ -213,7 +213,7 @@ def _rhs(layouts, models, lams, span_um):
             out[..., 1:] += k * a[..., :-1]
             return gain * out
 
-        return lambda t, a: apply(couplings(t * span_um)[0], a)
+        return lambda t, a: apply(couplings(t * span_um)[:, 0], a)
     # A batch does what apply does, operation by operation, into buffers;
     # the diagonal, gain and couplings are stored as complex, the values
     # numpy would cast them to for the products with a complex state.
@@ -221,17 +221,17 @@ def _rhs(layouts, models, lams, span_um):
     gain = np.broadcast_to(gain, diagonal.shape).copy()
 
     def bind(a):
-        (B, n), S = a.shape, dop853.N_STAGES
-        z, x = np.empty((S, B, 1)), np.empty((S, B, n - 1))
-        k = np.empty((S, B, n - 1), dtype=complex)
-        # pair[0] = a[:, :-1] and pair[1] = a[:, 1:]: one multiply makes
-        # the products with both neighbours. at(ts) fills all S rows of k;
-        # one point (a (1, 1, 1) or (1, B, 1) ts) fills each row with it.
-        pair = as_strided(a, (2, B, n - 1), (a.itemsize,) + a.strides,
+        (n, B), S = a.shape, dop853.N_STAGES
+        z, x = np.empty((S, 1, B)), np.empty((S, n - 1, B))
+        k = np.empty((S, n - 1, B), dtype=complex)
+        # pair[0] = a[:-1] and pair[1] = a[1:]: one multiply makes the
+        # products with both neighbours. at(ts) fills all S rows of k;
+        # one point (a (1, 1, 1) or (1, 1, B) ts) fills each row with it.
+        pair = as_strided(a, (2, n - 1, B), a.strides[:1] + a.strides,
                           writeable=False)
         products, acc = np.empty(pair.shape, dtype=complex), np.empty_like(a)
         rows, (from_below, from_above) = tuple(k), products
-        lower, upper = acc[:, :-1], acc[:, 1:]
+        lower, upper = acc[:-1], acc[1:]
 
         def at(ts):
             couplings(np.multiply(ts, span_um, z), x, k)
@@ -257,12 +257,12 @@ def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list
     """
     opts = opts or PropagationOptions()
     rhs = _rhs(layouts, models, lams,
-               np.array([[lay.z_end_um] for lay in layouts]))
+               np.array([[lay.z_end_um for lay in layouts]]))
     a0 = np.array([nominal_input(lay, lam).amplitudes
-                   for lay, lam in zip(layouts, lams)])
+                   for lay, lam in zip(layouts, lams)]).T.copy()
     sol = dop853.solve(rhs, 0.0, 1.0, a0, opts.rtol, opts.atol)
     return [StateVector(a, lay.z_end_um, lam)
-            for a, lay, lam in zip(sol.y[:, :, -1], layouts, lams)]
+            for a, lay, lam in zip(sol.y.T, layouts, lams)]
 
 
 def propagate_batch(layouts, models, lams,
@@ -368,8 +368,9 @@ def propagate_oracle(layout: ArrayLayout, model: CouplingModel, lam: float,
     a = np.asarray(state.amplitudes, dtype=complex).copy()
     for first in range(0, n_slices, _ORACLE_BATCH):
         i = np.arange(first, min(first + _ORACLE_BATCH, n_slices))
-        z_um = ((i + 0.5) * dz * UM_PER_MM)[:, None]
-        w, V = np.linalg.eigh(tridiagonal(couplings(z_um), diagonal[0]))
+        z_um = ((i + 0.5) * dz * UM_PER_MM)[:, None, None]
+        w, V = np.linalg.eigh(tridiagonal(couplings(z_um)[..., 0],
+                                          diagonal[:, 0]))
         steps = (V * np.exp(1j * w * dz)[:, None, :]) @ V.transpose(0, 2, 1)
         for step in steps:
             a = step @ a

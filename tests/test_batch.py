@@ -86,7 +86,7 @@ def folded5_member(half_length, sep, angle, width, kappa_ref, detuning, lam):
 @example(members=[folded5_member(3993.0, 25.0, 0.03, 5.0, 0.5, 0.0, 1605.0),
                   folded5_member(9408.0, 34.0, 0.015625, 5.0, 0.34375, 0.254,
                                  1586.0)])
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, derandomize=True, deadline=None)
 def test_batch_matches_scalar_and_oracle(members):
     layouts, models, lams = zip(*members)
     finals = propagate_batch(layouts, models, lams)
@@ -155,9 +155,9 @@ def test_non_finite_member_named_in_the_batch(folded5_ref):
 
 @pytest.mark.parametrize("shape, fun", [
     (3, lambda t, y: 1e6j * y),
-    # a batch's fun binds to the solve's stage state and returns at(ts),
-    # which takes the step's evaluation points, and rate(s, out)
-    ((2, 3), lambda stage: (lambda ts: None,
+    # a batch's fun binds to the solve's (n, B) stage state and returns
+    # at(ts), which takes the step's evaluation points, and rate(s, out)
+    ((3, 2), lambda stage: (lambda ts: None,
                             lambda s, out: np.multiply(1e6j, stage, out))),
 ], ids=["system", "batch"])
 def test_step_budget_ends_a_fast_oscillation(shape, fun):
@@ -206,9 +206,10 @@ def bits(x):
 
 @st.composite
 def stage_stacks(draw):
-    # 13 stages of a (B, n) batch, with exact zeros of either sign mixed in
+    # 13 stages of an (n, B) batch, with exact zeros of either sign mixed in
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (13, draw(st.integers(1, 5)), draw(st.integers(2, 5)))
+    B, n = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    shape = (13, n, B)
     scale = 10.0 ** rng.uniform(-3, 3, size=shape)
     K = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
     K.real[rng.random(shape) < 0.1] = 0.0
@@ -251,6 +252,55 @@ def test_column_sums_match_per_term_sums_bit_for_bit(K, h):
     sums = work[4]                     # (at, rate, stage, k, sums, ...)
     assert bits(sums[12]) == bits(row_sum(dop853._E5))
     assert bits(sums[13]) == bits(row_sum(dop853._E3))
+
+
+def member_sums(x):
+    """Sum of |x|^2 over the guides of each member of an (n, B) array: one
+    np.add.reduce over a contiguous copy of each member."""
+    return np.array([np.add.reduce(np.ascontiguousarray(m.real ** 2
+                                                        + m.imag ** 2))
+                     for m in x.T])
+
+
+@st.composite
+def wide_stage_stacks(draw):
+    # 13 stages of an (n, B) batch with entries of magnitude 1e-8 to 1e8;
+    # at 9 guides numpy's reduce over the rows of a members-last array adds
+    # in another order than its reduce over one contiguous member
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (13, draw(st.sampled_from([3, 5, 9])), draw(st.integers(1, 9)))
+    magnitude = 10.0 ** rng.uniform(-8, 8, size=shape)
+    return magnitude * np.exp(2j * np.pi * rng.random(shape))
+
+
+@given(K=wide_stage_stacks(), h=st.floats(1e-3, 1.0))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_guide_sums_reduce_each_member_contiguously(K, h):
+    # _batch_start's member RMS and the trial step's E5 and E3 norms sum
+    # over the guide axis; each must equal a per-member np.add.reduce, bit
+    # for bit, so that a member's sums do not depend on the batch layout
+    n = K.shape[1]
+    y = K[0] * 1e-3
+    assert bits(dop853._member_rms(K[1])) == \
+        bits(np.sqrt(member_sums(K[1]) / n))
+
+    def fun(stage):
+        def rate(s, out):
+            out[...] = K[s + 1]
+
+        return (lambda ts: None), rate
+
+    rtol, atol = 1e-6, 1e-9
+    work, _, _ = dop853._batch_start(fun, 0.0, y, 1.0, 1.0, rtol, atol)
+    y_new, _, error_norm = dop853._batch_trial_step(work, 0.0, y, K[0], h,
+                                                    rtol, atol)
+    sums = work[4]                     # (at, rate, stage, k, sums, ...)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    err5, err3 = member_sums(sums[12] / scale), member_sums(sums[13] / scale)
+    denom = err5 + 0.01 * err3
+    norms = np.abs(h) * err5 / np.sqrt(denom * n)
+    norms[denom == 0] = 0.0
+    assert bits(error_norm) == bits(norms.max())
 
 
 def test_member_order_does_not_change_a_member_bits(folded5_ref):

@@ -183,7 +183,7 @@ def _profile(alpha_deg, separation_um, lam):
     model = calibrated_model(layout, 0.15, config.kappa_ref, config.lambda0,
                              config.rho, config.detuning)
     couplings, _ = propagator.coupling_chain([layout], [model], [lam])
-    k = couplings(np.linspace(0.0, 1.0, 41)[:, None] * layout.z_end_um)
+    k = couplings(np.linspace(0.0, 1.0, 41)[:, None, None] * layout.z_end_um)
     return k, adiabaticity_margin(layout, model, lam, 101).max_value
 
 

@@ -247,7 +247,7 @@ class TestTopology:
         _, diagonal = coupling_chain([layout], [model], [1550.0])
         expected = np.zeros(layout.n_guides)
         expected[1::2] = 0.3
-        assert np.array_equal(diagonal[0], expected)
+        assert np.array_equal(diagonal[:, 0], expected)
         assert facet_separations(layout) == (11.0, 11.0)
 
 

@@ -85,7 +85,7 @@ class TestRhs:
                                              "folded5_ref"])
     def test_matches_dense_hamiltonian(self, request, layout_name):
         # one system steps in mm (span 1 mm) with a 1-D state; a batch, of
-        # one member here, in u = z / z_end (span z_end) with a (1, n) state
+        # one member here, in u = z / z_end (span z_end) with an (n, 1) state
         layout = request.getfixturevalue(layout_name)
         rng = np.random.default_rng(7)
         for lam, detuning in ((1500.0, 0.37), (1630.0, -1.2)):
@@ -100,7 +100,7 @@ class TestRhs:
                     # a batch's rhs binds to a stage state and evaluates
                     # the 12 points of a trial step at once, as a (12, 1, 1)
                     # array; rate(s, out) is the derivative at point s
-                    stage = np.empty((1, layout.n_guides), dtype=complex)
+                    stage = np.empty((layout.n_guides, 1), dtype=complex)
                     at, rate = rhs(stage)
                 for i, z in enumerate(zs):
                     a = (rng.normal(size=layout.n_guides)
@@ -110,12 +110,12 @@ class TestRhs:
                     if batched:
                         if i % 12 == 0:
                             at((zs[i:i + 12] / span)[:, None, None])
-                        stage[0] = a
+                        stage[:, 0] = a
                         got = np.full_like(stage, np.nan)
                         rate(i % 12, got)
                     else:
                         got = rhs(z / span, a)
-                    assert got.shape == (a[None] if batched else a).shape
+                    assert got.shape == (a[:, None] if batched else a).shape
                     assert np.max(np.abs(got.ravel() - expected)) \
                         <= 1e-14 * np.max(np.abs(expected))
 
