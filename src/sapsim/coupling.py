@@ -19,15 +19,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, IntegrationError
+from .errors import CalibrationError
 from .geometry import ArrayLayout
 
 # Grid points of calibrate_strength propagated per batch. The default
 # search finds its point near the 59th, in the second chunk.
 CALIBRATION_CHUNK = 32
-# Most grid points calibrate_strength accepts; a full scan of this many
-# takes about 10 s on a 2-core host (with resolution 0.0012 from 0.05 to
-# 20 /mm and an unreachable target). The default grid has 303.
+# Most grid points calibrate_strength accepts (the default grid has 303).
+# It bounds points, not work: a folded5 point takes about 30 steps at 0.72
+# /mm, 770 at 20 /mm and the whole step budget at 200 /mm (ROADMAP item 2).
 CALIBRATION_MAX_POINTS = 5000
 
 
@@ -139,15 +139,15 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
     The grid ascends from kappa_min by factors of (1 + resolution).
     Crosstalk is not monotone in kappa_ref (facet-mismatch interference), so
     the answer is the first passing grid point, i.e. the smallest point of
-    the first contiguous passing run. The grid is scanned in chunks of
-    CALIBRATION_CHUNK points, each propagated as one batch, and the scan
-    stops after the first chunk that holds a pass. Raises CalibrationError
-    with the scanned diagnostic curve attached if no grid point passes, and
-    before scanning if the grid cannot grow or holds more than
-    CALIBRATION_MAX_POINTS points.
+    the first contiguous passing run. The points are propagated in order,
+    CALIBRATION_CHUNK to a batch, by the rule of ``propagate_batch`` (a
+    failed batch is re-solved point by point), and no batch past the first
+    pass is solved. Raises CalibrationError with the scanned diagnostic
+    curve attached if no grid point passes, and before scanning if the grid
+    cannot grow or holds more than CALIBRATION_MAX_POINTS points.
     """
     from .analysis import split_report
-    from .propagator import batch_finals, propagate
+    from .propagator import _finals
 
     if crosstalk_target_db > 0:
         raise CalibrationError("crosstalk_target_db must be <= 0 dB")
@@ -166,27 +166,16 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
             f"1/mm at resolution {resolution} has {n_points:.3g} points, "
             f"more than {CALIBRATION_MAX_POINTS}")
 
-    grid, curve = [], []
-    k = kappa_min
+    grid, k = [], kappa_min
     while k <= kappa_max * (1 + 1e-12):
-        chunk = []
-        while len(chunk) < CALIBRATION_CHUNK and k <= kappa_max * (1 + 1e-12):
-            chunk.append(k)
-            k *= 1.0 + resolution
-        models = [replace(base_model, kappa_ref=kc) for kc in chunk]
-        try:
-            finals = batch_finals([layout] * len(chunk), models,
-                                  [lam0] * len(chunk), opts)
-        except IntegrationError:
-            # the failing point may lie past the first pass, where the scan
-            # stops: rescan the chunk one point at a time, up to the pass
-            finals = (propagate(layout, model, lam0, opts=opts).final
-                      for model in models)
-        for kc, final in zip(chunk, finals):
-            grid.append(kc)
-            curve.append(split_report(final, layout.kind).crosstalk_db)
-            if curve[-1] <= crosstalk_target_db:
-                return kc
+        grid.append(k)
+        k *= 1.0 + resolution
+    members = [(layout, replace(base_model, kappa_ref=k), lam0) for k in grid]
+    curve = []
+    for k, final in zip(grid, _finals(members, opts, CALIBRATION_CHUNK)):
+        curve.append(split_report(final, layout.kind).crosstalk_db)
+        if curve[-1] <= crosstalk_target_db:
+            return k
 
     raise CalibrationError(
         f"no kappa_ref in [{kappa_min}, {kappa_max}] 1/mm reaches "

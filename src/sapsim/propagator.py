@@ -252,8 +252,8 @@ def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list
     """Final states of the nominal input for B systems, from one batched
     DOP853 solve (see ``dop853``) of all of them.
 
-    Raises IntegrationError when the solve fails; ``propagate_batch`` is
-    the entry point that bounds the batch size and names a failing member.
+    Raises IntegrationError when the solve fails. ``_finals`` is the one
+    place that cuts members into such solves and re-solves a failed one.
     """
     opts = opts or PropagationOptions()
     rhs = _rhs(layouts, models, lams,
@@ -265,32 +265,37 @@ def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list
             for a, lay, lam in zip(sol.y.T, layouts, lams)]
 
 
+def _finals(members, opts, size):
+    """Final states of the nominal input for the (layout, model, lam)
+    members, in order. The members are cut in order into ``batch_finals``
+    solves of at most ``size``, and a solve runs only when its first member
+    is asked for. When a solve fails, its members are propagated one at a
+    time, so the first failing member raises the IntegrationError
+    ``propagate`` would."""
+    for first in range(0, len(members), size):
+        chunk = members[first:first + size]
+        try:
+            finals = batch_finals(*zip(*chunk), opts)
+        except IntegrationError:
+            finals = (propagate(*member, opts=opts).final for member in chunk)
+        yield from finals
+
+
 def propagate_batch(layouts, models, lams,
                     opts: PropagationOptions = None) -> list:
     """Final states of the nominal input for a batch of systems.
 
     Member b is (layouts[b], models[b], lams[b]); all layouts share one
-    guide count. The members are cut in order into solves of at most
-    BATCH_SIZE, one ``batch_finals`` each; the result agrees with
-    ``propagate`` member by member to roundoff at the tolerance level.
-    Members of one solve share its step sequence, so a member's roundoff
-    depends on which others are in its solve.
-
-    When a solve fails, its members are propagated one at a time, so the
-    first failing member raises the IntegrationError ``propagate`` would.
+    guide count. The members are solved by ``_finals`` in solves of at
+    most BATCH_SIZE; the result agrees with ``propagate`` member by member
+    to roundoff at the tolerance level. Members of one solve share its
+    step sequence, so a member's roundoff depends on which others are in
+    its solve. The first failing member raises the IntegrationError
+    ``propagate`` would.
     """
-    opts = opts or PropagationOptions()
     members = list(zip(layouts, models, [float(v) for v in lams],
                        strict=True))
-    finals = []
-    for first in range(0, len(members), BATCH_SIZE):
-        chunk = members[first:first + BATCH_SIZE]
-        try:
-            finals += batch_finals(*zip(*chunk), opts)
-        except IntegrationError:
-            finals += [propagate(*member, opts=opts).final
-                       for member in chunk]
-    return finals
+    return list(_finals(members, opts, BATCH_SIZE))
 
 
 def _solve(layout: ArrayLayout, model: CouplingModel, lam: float, a0,

@@ -6,9 +6,12 @@ kappa_ref = 0.7175 /mm at 1550 nm. Expensive artifacts are session-scoped.
 """
 
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import sapsim
 from sapsim import (PropagationOptions, build_folded5, build_fsap3, build_sap3,
                     calibrated_model, nominal_input, propagate)
 
@@ -44,6 +47,10 @@ COUNT_BOUNDS = [
 # fixed devices only: a rare drawn batch differs by 1.23e-10, so
 # test_batch.py checks each route against an rtol 1e-13 solve instead.
 BATCH_DA = 1e-10
+
+# CLI subprocesses import the sapsim these tests import, installed or not
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(sapsim.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 TAN_ALPHA = math.tan(math.radians(ANGLE))
 LATERAL_TRAVEL = 2 * HALF_LENGTH * TAN_ALPHA          # 7.854 um

@@ -130,6 +130,22 @@ def test_failing_member_raises_its_own_message(folded5_ref, kappa_ref):
     assert "lam = 1565.0 nm" in str(batched.value)
 
 
+def test_failed_solve_reruns_members_up_to_the_failing_one(folded5_ref,
+                                                         monkeypatch):
+    # the batch fails; its members are solved alone, in order, and the
+    # member after the failing one is not solved at all
+    good = calibrated_model(folded5_ref, TARGET_RATIO, KAPPA_REF, LAM0)
+    bad = calibrated_model(folded5_ref, TARGET_RATIO, np.inf, LAM0)
+    alone, propagate_alone = [], propagator.propagate
+    monkeypatch.setattr(propagator, "propagate",
+                        lambda *args, **kw: alone.append(args[2])
+                        or propagate_alone(*args, **kw))
+    with pytest.raises(IntegrationError, match="lam = 1565.0 nm"):
+        propagate_batch([folded5_ref] * 3, [good, bad, good],
+                        [1500.0, 1565.0, 1630.0])
+    assert alone == [1500.0, 1565.0]
+
+
 def test_overflowing_batch_warns_nothing(folded5_ref):
     # i H a overflows in the workspace's arrays: the solve fails as before,
     # with no numpy RuntimeWarning on the way

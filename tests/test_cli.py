@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -12,22 +11,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import sapsim
 from sapsim import config as cfgmod
 from sapsim import dark_state, eigensystem, hamiltonian_at
 from sapsim.cli import main
 from sapsim.config import layout_from, load_config, model_from
 
-from conftest import COUNT_BOUNDS
+from conftest import COUNT_BOUNDS, SUBPROCESS_ENV
 
 FAST = ["--override", "propagation.rtol=1e-8",
         "--override", "propagation.atol=1e-10",
         "--override", "propagation.samples=24"]
-
-
-# CLI subprocesses import the sapsim these tests import, installed or not
-SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-    str(Path(sapsim.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run(command, out, *extra):

@@ -162,6 +162,21 @@ class TestCalibrateStrength:
         with pytest.raises(IntegrationError, match="step budget"):
             calibrate_strength(folded5_ref, base, LAM0, 0.0, kappa_min=2.0)
 
+    def test_default_search_solves_two_batches(self, folded5_ref, base,
+                                               monkeypatch):
+        # the -20 dB pass is near the 59th point: the search solves the
+        # first two batches of points and none past them
+        solves, batch_finals = [], propagator.batch_finals
+
+        def recorded(layouts, models, lams, opts):
+            solves.append(len(models))
+            return batch_finals(layouts, models, lams, opts)
+
+        monkeypatch.setattr(propagator, "batch_finals", recorded)
+        star = calibrate_strength(folded5_ref, base, LAM0, -20.0)
+        assert star == pytest.approx(KAPPA_STAR_M20, rel=1e-9)
+        assert solves == [32, 32]
+
     def test_invalid_arguments(self, folded5_ref, base):
         with pytest.raises(CalibrationError):
             calibrate_strength(folded5_ref, base, LAM0, 1.0)
