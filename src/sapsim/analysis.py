@@ -13,12 +13,11 @@ diagonal, because those diagonal entries only multiply the zero components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import CouplingModel
-from .errors import IntegrationError
+from .errors import IntegrationError, Record
 from .geometry import TOPOLOGY, ArrayLayout, Kind
 from .propagator import StateVector, coupling_chain, tridiagonal
 
@@ -81,19 +80,19 @@ def dark_state(M: np.ndarray) -> np.ndarray:
     return _dark_vectors(k[None, :])[0]
 
 
-@dataclass(frozen=True, eq=False)
-class AdiabaticityProfile:
+class AdiabaticityProfile(Record):
     """Rotation-over-gap metric A(z); smaller is more adiabatic.
 
-    ``eigenvalues`` (ascending) and ``dark_states`` hold the supermode data
-    of each sample the metric was computed from.
-    """
+    ``flagged`` holds the samples where the gap fell below 1e-12, and
+    ``eigenvalues`` (ascending) and ``dark_states``, each (n_samples, n),
+    the supermode data of each sample the metric was computed from."""
 
-    z_um: np.ndarray
-    values: np.ndarray
-    flagged: tuple           # sample indices where the gap fell below 1e-12
-    eigenvalues: np.ndarray = None     # (n_samples, n)
-    dark_states: np.ndarray = None     # (n_samples, n)
+    __slots__ = ("z_um", "values", "flagged", "eigenvalues", "dark_states")
+
+    def __init__(self, z_um: np.ndarray, values: np.ndarray, flagged: tuple,
+                 eigenvalues: np.ndarray = None, dark_states: np.ndarray = None):
+        self.z_um, self.values, self.flagged = z_um, values, flagged
+        self.eigenvalues, self.dark_states = eigenvalues, dark_states
 
     @property
     def max_value(self) -> float:
@@ -139,8 +138,7 @@ def adiabaticity_margin(layout: ArrayLayout, model: CouplingModel, lam: float,
     return AdiabaticityProfile(zs, values, flagged, w, darks)
 
 
-@dataclass(frozen=True, eq=False)
-class SplitReport:
+class SplitReport(Record):
     """Power bookkeeping of one output state.
 
     fractions sum to 1 over all guides; pair_fractions renormalize the two
@@ -149,10 +147,13 @@ class SplitReport:
     wrapped to (-pi, pi].
     """
 
-    fractions: np.ndarray
-    crosstalk_db: float
-    phase_rel_rad: float
-    pair_fractions: np.ndarray
+    __slots__ = ("fractions", "crosstalk_db", "phase_rel_rad",
+                 "pair_fractions")
+
+    def __init__(self, fractions: np.ndarray, crosstalk_db: float,
+                 phase_rel_rad: float, pair_fractions: np.ndarray):
+        self.fractions, self.crosstalk_db = fractions, crosstalk_db
+        self.phase_rel_rad, self.pair_fractions = phase_rel_rad, pair_fractions
 
 
 def split_report(state: StateVector, kind: Kind) -> SplitReport:

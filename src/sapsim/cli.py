@@ -5,9 +5,9 @@ Each reads an optional config (INI or JSON) plus repeatable
 ``--override section.key=value`` flags and writes CSV/JSON results into
 ``--out``. Outputs are deterministic: same config, byte-identical files.
 JSON outputs write null for an undefined number. Exit codes: 0 success,
-2 config error, 3 numerical failure, 4 calibration failure; the core
-raises each failure where it is detected, and ``main`` maps its type onto
-the exit code.
+2 config error or an unusable ``--out``, 3 numerical failure, 4
+calibration failure; the core raises each failure where it is detected,
+and ``main`` maps its type onto the exit code.
 """
 
 from __future__ import annotations
@@ -22,26 +22,25 @@ import numpy as np
 
 from . import config as cfgmod
 from .analysis import adiabaticity_margin, split_report
-from .design import grid_search, refine_local
 from .errors import CalibrationError, ConfigError, IntegrationError, SapsimError
-from .farfield import classify_fringe, facet_emitters, farfield_pattern
 from .propagator import propagate
-from .spectral import sweep_wavelength
 
 
 def _fmt(x) -> str:
     # floats use the shortest round-tripping form so CSV columns reparse to
     # the exact values summarized in the JSON outputs
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
 
 
 def _write_csv(path: Path, header, rows):
+    # rows: a 2-D float array (written as _fmt writes floats) or rows for _fmt
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    if isinstance(rows, np.ndarray):
+        lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    else:
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -87,9 +86,8 @@ def cmd_propagate(cfg, out: Path) -> None:
     header = ["z_um"] + [f"I_{i}" for i in range(1, n + 1)] \
         + [f"phase_{i}" for i in range(1, n + 1)]
     a = traj.amplitudes
-    rows = [[z, *p, *phase] for z, p, phase in
-            zip(traj.z_um, np.abs(a) ** 2, np.angle(a))]
-    _write_csv(out / "propagate.csv", header, rows)
+    _write_csv(out / "propagate.csv", header,
+               np.column_stack([traj.z_um, np.abs(a) ** 2, np.angle(a)]))
 
     report = split_report(traj.final, layout.kind)
     _write_json(out / "propagate_summary.json", {
@@ -105,6 +103,7 @@ def cmd_propagate(cfg, out: Path) -> None:
 
 
 def cmd_sweep(cfg, out: Path) -> None:
+    from .spectral import sweep_wavelength
     layout, opts, model = _load(cfg)
     sw = cfg.sweep
     curve = sweep_wavelength(layout, model, sw.lambda_min, sw.lambda_max,
@@ -113,11 +112,9 @@ def cmd_sweep(cfg, out: Path) -> None:
     n = layout.n_guides
     header = ["lambda_nm"] + [f"frac_{i}" for i in range(1, n + 1)] \
         + ["crosstalk_db", "phase_rel_rad"]
-    rows = [
-        [lam] + list(r.fractions) + [r.crosstalk_db, r.phase_rel_rad]
-        for lam, r in zip(curve.wavelengths_nm, curve.reports)
-    ]
-    _write_csv(out / "sweep.csv", header, rows)
+    _write_csv(out / "sweep.csv", header, np.column_stack([
+        curve.wavelengths_nm, [r.fractions for r in curve.reports],
+        [[r.crosstalk_db, r.phase_rel_rad] for r in curve.reports]]))
 
     s = curve.summary
     _write_json(out / "sweep_summary.json", {
@@ -132,6 +129,7 @@ def cmd_sweep(cfg, out: Path) -> None:
 
 
 def cmd_farfield(cfg, out: Path) -> None:
+    from .farfield import classify_fringe, facet_emitters, farfield_pattern
     layout, opts, model = _load(cfg)
     ff = cfg.farfield
     traj = propagate(layout, model, ff.wavelength, opts=opts)
@@ -140,7 +138,7 @@ def cmd_farfield(cfg, out: Path) -> None:
                                ff.theta_max, ff.n_points)
 
     _write_csv(out / "farfield.csv", ["theta_rad", "intensity"],
-               list(zip(pattern.angles_rad, pattern.intensity)))
+               np.column_stack([pattern.angles_rad, pattern.intensity]))
     _write_json(out / "farfield_summary.json", {
         "wavelength_nm": ff.wavelength,
         "kind": layout.kind.value,
@@ -160,13 +158,13 @@ def cmd_darkstate(cfg, out: Path) -> None:
     n = layout.n_guides
     header = ["z_um"] + [f"ev_{i}" for i in range(1, n + 1)] \
         + [f"dark_{i}" for i in range(1, n + 1)] + ["adiabaticity"]
-    rows = [[z, *w, *dark, a_val] for z, w, dark, a_val in
-            zip(profile.z_um, profile.eigenvalues, profile.dark_states,
-                profile.values)]
-    _write_csv(out / "darkstate.csv", header, rows)
+    _write_csv(out / "darkstate.csv", header, np.column_stack([
+        profile.z_um, profile.eigenvalues, profile.dark_states,
+        profile.values]))
 
 
 def cmd_optimize(cfg, out: Path) -> None:
+    from .design import CandidateParams, Objectives, grid_search, refine_local
     d = cfg.design
     bounds, steps, objective = cfgmod.objective_from(cfg)
     ranked = grid_search(bounds, steps, objective, budget=d.budget)
@@ -175,36 +173,17 @@ def cmd_optimize(cfg, out: Path) -> None:
     if refined:
         best = refine_local(best, objective, bounds, d.refine_iters)
 
-    header = ["rank", "alpha_deg", "separation_um", "half_length_um",
-              "target_ratio", "worst_crosstalk_db", "band_imbalance",
-              "device_length_um", "max_adiabaticity", "score", "valid"]
-    rows = []
-    for rank, cand in enumerate(ranked, start=1):
-        o = cand.objectives
-        rows.append([
-            rank, cand.params.alpha_deg, cand.params.separation_um,
-            cand.params.half_length_um, cand.params.target_ratio,
-            o.worst_crosstalk_db if cand.valid else math.nan,
-            o.band_imbalance if cand.valid else math.nan,
-            o.device_length_um if cand.valid else math.nan,
-            o.max_adiabaticity if cand.valid else math.nan,
-            cand.score, int(cand.valid),
-        ])
-    _write_csv(out / "optimize.csv", header, rows)
+    header = ["rank", *CandidateParams._fields, *Objectives._fields, "score",
+              "valid"]
+    undefined = [math.nan] * len(Objectives._fields)
+    _write_csv(out / "optimize.csv", header, [
+        [rank, *cand.params, *(cand.objectives if cand.valid else undefined),
+         cand.score, int(cand.valid)]
+        for rank, cand in enumerate(ranked, start=1)])
 
     _write_json(out / "optimize_best.json", {
-        "params": {
-            "alpha_deg": best.params.alpha_deg,
-            "separation_um": best.params.separation_um,
-            "half_length_um": best.params.half_length_um,
-            "target_ratio": best.params.target_ratio,
-        },
-        "objectives": None if not best.valid else {
-            "worst_crosstalk_db": best.objectives.worst_crosstalk_db,
-            "band_imbalance": best.objectives.band_imbalance,
-            "device_length_um": best.objectives.device_length_um,
-            "max_adiabaticity": best.objectives.max_adiabaticity,
-        },
+        "params": best.params._asdict(),
+        "objectives": best.objectives._asdict() if best.valid else None,
         "score": best.score,
         "refined": refined,
     })
@@ -267,6 +246,9 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out)
+    except OSError as exc:      # creating --out or writing an output file
+        print(f"error: --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

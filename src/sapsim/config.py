@@ -9,7 +9,6 @@ rates 1/mm, crosstalk dB.
 
 from __future__ import annotations
 
-import configparser
 import json
 import math
 from collections import Counter, namedtuple
@@ -19,7 +18,6 @@ from .geometry import GeometrySpec, Kind, build_layout
 from .propagator import PropagationOptions
 from .coupling import (CouplingModel, calibrate_strength, calibrated_model,
                        facet_separations)
-from .design import ObjectiveConfig, ObjectiveWeights, ParameterBounds
 
 AUTO = "auto"
 
@@ -194,6 +192,7 @@ def _read_raw(text: str) -> dict:
                 raise ConfigError(
                     "JSON config must be an object of section objects")
         return data
+    import configparser
     # no default section: [DEFAULT] is an unknown section, not inherited keys
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
@@ -222,7 +221,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = _read_raw(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
     cfg = _merge(apply_overrides(raw, overrides))
     validate(cfg)
@@ -312,6 +311,7 @@ def objective_from(cfg: RunConfig):
     coupling strength fixed). Raises ConfigError when the grid exceeds
     design.budget.
     """
+    from .design import ObjectiveConfig, ObjectiveWeights, ParameterBounds
     d, c = cfg.design, cfg.coupling
     steps = (d.steps_alpha, d.steps_separation, d.steps_half_length,
              d.steps_ratio)

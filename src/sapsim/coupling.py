@@ -15,7 +15,7 @@ usual trend for larger modes. Units: d in um, lam in nm, rates in 1/mm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,8 +31,8 @@ CALIBRATION_CHUNK = 32
 CALIBRATION_MAX_POINTS = 5000
 
 
-@dataclass(frozen=True)
-class CouplingModel:
+class CouplingModel(namedtuple("CouplingModel", "kappa_ref d_ref delta_decay "
+                                                "lambda0 rho detuning")):
     """Hamiltonian entries as a function of separation and wavelength.
 
     Attributes
@@ -52,20 +52,19 @@ class CouplingModel:
         the diagonal Hamiltonian entry on those guides.
     """
 
-    kappa_ref: float
-    d_ref: float
-    delta_decay: float
-    lambda0: float
-    rho: float = 1.0
-    detuning: float = 0.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks
 
-    def __post_init__(self):
-        if self.kappa_ref < 0:
+    def __new__(cls, kappa_ref: float, d_ref: float, delta_decay: float,
+                lambda0: float, rho: float = 1.0, detuning: float = 0.0):
+        if kappa_ref < 0:
             raise ValueError("kappa_ref must be non-negative")
-        if self.delta_decay <= 0:
+        if delta_decay <= 0:
             raise ValueError("delta_decay must be positive")
-        if self.lambda0 <= 0:
+        if lambda0 <= 0:
             raise ValueError("lambda0 must be positive")
+        return super().__new__(cls, kappa_ref, d_ref, delta_decay, lambda0,
+                               rho, detuning)
 
     def decay_length(self, lam: float) -> float:
         """delta(lam) in um; strictly positive on the admissible domain."""
@@ -84,7 +83,7 @@ class CouplingModel:
 
     def scaled(self, factor: float) -> "CouplingModel":
         """Same model with kappa_ref multiplied by ``factor``."""
-        return replace(self, kappa_ref=self.kappa_ref * factor)
+        return self._replace(kappa_ref=self.kappa_ref * factor)
 
 
 def facet_separations(layout: ArrayLayout):
@@ -170,7 +169,7 @@ def calibrate_strength(layout: ArrayLayout, base_model: CouplingModel, lam0: flo
     while k <= kappa_max * (1 + 1e-12):
         grid.append(k)
         k *= 1.0 + resolution
-    members = [(layout, replace(base_model, kappa_ref=k), lam0) for k in grid]
+    members = [(layout, base_model._replace(kappa_ref=k), lam0) for k in grid]
     curve = []
     for k, final in zip(grid, _finals(members, opts, CALIBRATION_CHUNK)):
         curve.append(split_report(final, layout.kind).crosstalk_db)

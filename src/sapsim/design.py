@@ -10,7 +10,7 @@ ranked table doubles as a Pareto inspection dump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,43 +22,39 @@ from .propagator import PropagationOptions
 from .spectral import sweep_designs
 
 
-@dataclass(frozen=True)
-class CandidateParams:
-    alpha_deg: float
-    separation_um: float
-    half_length_um: float
-    target_ratio: float
+class CandidateParams(namedtuple("CandidateParams", "alpha_deg separation_um "
+                                 "half_length_um target_ratio")):
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.alpha_deg, self.separation_um, self.half_length_um,
-                self.target_ratio)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class Objectives:
-    worst_crosstalk_db: float
-    band_imbalance: float
-    device_length_um: float
-    max_adiabaticity: float
+Objectives = namedtuple("Objectives", "worst_crosstalk_db band_imbalance "
+                        "device_length_um max_adiabaticity")
 
 
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    crosstalk: float = 1.0
-    imbalance: float = 1.0
-    length: float = 0.25
-    adiabaticity: float = 0.5
+class ObjectiveWeights(namedtuple("ObjectiveWeights",
+                                  "crosstalk imbalance length adiabaticity")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks
 
-    def __post_init__(self):
-        vals = (self.crosstalk, self.imbalance, self.length, self.adiabaticity)
+    def __new__(cls, crosstalk: float = 1.0, imbalance: float = 1.0,
+                length: float = 0.25, adiabaticity: float = 0.5):
+        vals = (crosstalk, imbalance, length, adiabaticity)
         if any(v < 0 for v in vals):
             raise ValueError("weights must be non-negative")
         if not any(v > 0 for v in vals):
             raise ValueError("at least one weight must be positive")
+        return super().__new__(cls, *vals)
 
 
-@dataclass(frozen=True)
-class ObjectiveConfig:
+class ObjectiveConfig(namedtuple("ObjectiveConfig", [
+        "weights", "lam_min", "lam_max", "n_points",
+        "crosstalk_requirement_db", "width_um", "kappa_ref", "lambda0", "rho",
+        "detuning", "margin_samples", "options"], defaults=[
+        ObjectiveWeights(), 1500.0, 1630.0, 9, -15.0, 6.0, 0.7175, 1550.0,
+        1.0, 0.0, 201, PropagationOptions()])):
     """Scoring configuration.
 
     Normalizations: crosstalk enters as (worst - requirement)/10 dB,
@@ -69,27 +65,12 @@ class ObjectiveConfig:
     avoided.
     """
 
-    weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
-    lam_min: float = 1500.0
-    lam_max: float = 1630.0
-    n_points: int = 9
-    crosstalk_requirement_db: float = -15.0
-    width_um: float = 6.0
-    kappa_ref: float = 0.7175
-    lambda0: float = 1550.0
-    rho: float = 1.0
-    detuning: float = 0.0
-    margin_samples: int = 201
-    options: PropagationOptions = field(default_factory=PropagationOptions)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DesignCandidate:
-    params: CandidateParams
-    objectives: Objectives   # None when the geometry is invalid
-    score: float
-    valid: bool
-    note: str = ""
+# objectives is None when the geometry is invalid
+DesignCandidate = namedtuple("DesignCandidate", "params objectives score "
+                             "valid note", defaults=[""])
 
 
 def _score(o: Objectives, config: ObjectiveConfig) -> float:
@@ -173,12 +154,9 @@ def _evaluate(points, config: ObjectiveConfig) -> list:
     return candidates
 
 
-@dataclass(frozen=True)
-class ParameterBounds:
-    alpha_deg: tuple = (0.015, 0.045)
-    separation_um: tuple = (11.0, 33.0)
-    half_length_um: tuple = (3750.0, 11250.0)
-    target_ratio: tuple = (0.15, 0.15)
+ParameterBounds = namedtuple(
+    "ParameterBounds", "alpha_deg separation_um half_length_um target_ratio",
+    defaults=[(0.015, 0.045), (11.0, 33.0), (3750.0, 11250.0), (0.15, 0.15)])
 
 
 def _axis(bounds: tuple, steps: int) -> np.ndarray:

@@ -82,12 +82,11 @@ notice:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, Record
 
 SAFETY = 0.9        # multiplies steps predicted from the error estimate
 MIN_FACTOR = 0.2    # largest allowed decrease of a step
@@ -325,17 +324,18 @@ def _column_runs(table):
 _COLUMNS = _column_runs(_SUMS)
 
 
-@dataclass(frozen=True, eq=False)
-class DenseOutput:
+class DenseOutput(Record):
     """Piecewise degree-7 interpolant over the accepted steps.
 
     Segment i runs from ``ts[i]``, where the state is ``ys[i]``, to
-    ``ts[i + 1]``; ``F[i]`` holds its interpolator rows.
+    ``ts[i + 1]``; ``F[i]`` holds its interpolator rows. The step points
+    are monotone in the direction of integration.
     """
 
-    ts: np.ndarray   # (m,) step points, monotone in the direction
-    ys: np.ndarray   # (m, n) states at the step points
-    F: np.ndarray    # (m - 1, 7, n)
+    __slots__ = ("ts", "ys", "F")
+
+    def __init__(self, ts: np.ndarray, ys: np.ndarray, F: np.ndarray):
+        self.ts, self.ys, self.F = ts, ys, F    # (m,), (m, n), (m - 1, 7, n)
 
     def __call__(self, t) -> np.ndarray:
         """States (n, k) at the 1-D array of points ``t``.
@@ -367,12 +367,13 @@ class DenseOutput:
         return y.T
 
 
-@dataclass(frozen=True, eq=False)
-class Solution:
-    t: np.ndarray          # (m,) accepted step points, t[0] = t0, t[-1] = t_bound
-    y: np.ndarray          # (n, m) states there; a batch's final (n, B) only
-    nfev: int              # right-hand-side evaluations
-    sol: DenseOutput = None
+class Solution(Record):
+    __slots__ = ("t", "y", "nfev", "sol")
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, sol=None):
+        self.t = t          # (m,) accepted step points, t[0] = t0, t[-1] = t_bound
+        self.y = y          # (n, m) states there; a batch's final (n, B) only
+        self.nfev, self.sol = nfev, sol   # RHS evaluations, DenseOutput
 
 
 def _rms(x):

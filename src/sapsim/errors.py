@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types, and the base of the result records, shared across the
+package.
 
 CLI exit codes map onto these: ConfigError -> 2, IntegrationError -> 3,
 CalibrationError -> 4.
@@ -34,3 +35,15 @@ class CalibrationError(SapsimError):
         super().__init__(message)
         self.kappa_grid = kappa_grid
         self.crosstalk_db = crosstalk_db
+
+
+class Record:
+    """Base of the records that may hold arrays: their fields are the
+    ``__slots__`` the subclass's ``__init__`` sets; compared by identity."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                  if name != "__dict__")
+        return f"{type(self).__name__}({', '.join(fields)})"

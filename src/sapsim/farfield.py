@@ -14,12 +14,11 @@ opposite-phase (dark center) outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, Record
 from .geometry import ArrayLayout
 from .propagator import StateVector
 
@@ -35,12 +34,16 @@ class Fringe(str, Enum):
     INTERMEDIATE = "INTERMEDIATE"
 
 
-@dataclass(frozen=True, eq=False)
-class FarFieldPattern:
-    angles_rad: np.ndarray
-    intensity: np.ndarray          # normalized to its grid maximum
-    central_contrast: float        # I(0) over the coherent in-phase bound
-    fringe_spacing_rad: float      # spacing of the maxima nearest the axis
+class FarFieldPattern(Record):
+    __slots__ = ("angles_rad", "intensity", "central_contrast",
+                 "fringe_spacing_rad")
+
+    def __init__(self, angles_rad: np.ndarray, intensity: np.ndarray,
+                 central_contrast: float, fringe_spacing_rad: float):
+        self.angles_rad = angles_rad
+        self.intensity = intensity      # normalized to its grid maximum
+        self.central_contrast = central_contrast   # I(0) / in-phase bound
+        self.fringe_spacing_rad = fringe_spacing_rad   # of the central maxima
 
 
 def farfield_pattern(amplitudes, positions_um, wavelength_nm: float,

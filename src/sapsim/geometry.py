@@ -1,8 +1,8 @@
 """Waveguide-array layouts for adiabatic-passage beam splitters.
 
 Units: transverse positions, separations, widths and z are in micrometers.
-All separations are center-to-center. Layouts are immutable after
-construction and safe to share between threads.
+All separations are center-to-center. Layouts are never modified after
+construction and are safe to share between threads.
 
 Three kinds are supported, each placed by its row of ``TOPOLOGY``:
 
@@ -23,13 +23,13 @@ Three kinds are supported, each placed by its row of ``TOPOLOGY``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, Record
 
 # Sanity bound on inclinations; adiabatic-passage angles are fractions of a degree.
 MAX_SLOPE = math.tan(math.radians(5.0))
@@ -41,8 +41,8 @@ class Kind(str, Enum):
     FOLDED5 = "folded5"
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(namedtuple("Topology", "input_label central_label output_labels "
+                                      "offsets tilts ideal_phase_rad")):
     """A kind's guides by 1-based label: their roles and where they run.
 
     Guide i runs along x(z) = offsets[i] * s + tilts[i] * (L - z) * tan(alpha):
@@ -52,14 +52,9 @@ class Topology:
     arg(a_out1 * conj(a_out2)) the device is designed for.
     """
 
-    input_label: int
-    central_label: int
-    output_labels: tuple
-    offsets: tuple
-    tilts: tuple
-    ideal_phase_rad: float
+    __slots__ = ()
 
-    @cached_property
+    @property
     def inclined_labels(self) -> tuple:
         """The guides with a tilt, which carry the detuning (also at angle 0)."""
         return tuple(label for label, tilt in enumerate(self.tilts, 1) if tilt)
@@ -73,8 +68,7 @@ TOPOLOGY = {
 }
 
 
-@dataclass(frozen=True)
-class WaveguidePath:
+class WaveguidePath(namedtuple("WaveguidePath", "x0 slope label")):
     """Straight centerline x(z) = x0 + slope * z.
 
     Attributes
@@ -88,32 +82,28 @@ class WaveguidePath:
         1-based guide index.
     """
 
-    x0: float
-    slope: float
-    label: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks
 
-    def __post_init__(self):
-        if abs(self.slope) > MAX_SLOPE:
+    def __new__(cls, x0: float, slope: float, label: int):
+        if abs(slope) > MAX_SLOPE:
             raise GeometryError(
-                f"waveguide {self.label}: |slope| {abs(self.slope):.3g} exceeds "
+                f"waveguide {label}: |slope| {abs(slope):.3g} exceeds "
                 f"tan(5 deg) = {MAX_SLOPE:.3g}"
             )
+        return super().__new__(cls, x0, slope, label)
 
     def position(self, z: float) -> float:
         return self.x0 + self.slope * z
 
 
-@dataclass(frozen=True)
-class GeometrySpec:
+class GeometrySpec(namedtuple("GeometrySpec", "kind half_length_um "
+                              "outer_separation_um angle_deg width_um "
+                              "cut_fraction", defaults=[1.0])):
     """Build parameters of a layout, kept for rebuilds in parameter scans.
     Only fsap3 reads ``cut_fraction``."""
 
-    kind: Kind
-    half_length_um: float
-    outer_separation_um: float
-    angle_deg: float
-    width_um: float
-    cut_fraction: float = 1.0
+    __slots__ = ()
 
     def rescaled(self, length_factor: float) -> "GeometrySpec":
         """Stretch the device by ``length_factor`` at fixed profile shape.
@@ -125,19 +115,21 @@ class GeometrySpec:
         if length_factor <= 0:
             raise GeometryError("length_factor must be positive")
         tan_a = math.tan(math.radians(self.angle_deg)) / length_factor
-        return replace(self, half_length_um=self.half_length_um * length_factor,
-                       angle_deg=math.degrees(math.atan(tan_a)))
+        return self._replace(
+            half_length_um=self.half_length_um * length_factor,
+            angle_deg=math.degrees(math.atan(tan_a)))
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayLayout:
+class ArrayLayout(Record):
     """An ordered set of straight waveguide paths over z in [0, z_end]."""
 
-    paths: tuple
-    z_end_um: float
-    width_um: float
-    kind: Kind
-    spec: GeometrySpec = None
+    # __dict__ holds the cached properties
+    __slots__ = ("paths", "z_end_um", "width_um", "kind", "spec", "__dict__")
+
+    def __init__(self, paths: tuple, z_end_um: float, width_um: float,
+                 kind: Kind, spec: GeometrySpec = None):
+        self.paths, self.z_end_um, self.width_um = paths, z_end_um, width_um
+        self.kind, self.spec = kind, spec
 
     @property
     def n_guides(self) -> int:

@@ -8,7 +8,7 @@ internally while the public surface stays in um.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import dop853
 from .coupling import CouplingModel
-from .errors import IntegrationError
+from .errors import IntegrationError, Record
 from .geometry import ArrayLayout
 
 UM_PER_MM = 1000.0
@@ -27,21 +27,24 @@ BATCH_SIZE = 4096
 _ORACLE_BATCH = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class Hamiltonian:
+class Hamiltonian(Record):
     """Coupled-mode matrix sampled at one position."""
 
-    matrix: np.ndarray   # (n, n) real symmetric, 1/mm
-    z_um: float
+    __slots__ = ("matrix", "z_um")
+
+    def __init__(self, matrix: np.ndarray, z_um: float):
+        self.matrix, self.z_um = matrix, z_um   # (n, n) real symmetric, 1/mm
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Record):
     """Complex modal amplitudes at one position and wavelength."""
 
-    amplitudes: np.ndarray   # (n,) complex
-    z_um: float
-    wavelength_nm: float
+    __slots__ = ("amplitudes", "z_um", "wavelength_nm")
+
+    def __init__(self, amplitudes: np.ndarray, z_um: float,
+                 wavelength_nm: float):
+        self.amplitudes = amplitudes     # (n,) complex
+        self.z_um, self.wavelength_nm = z_um, wavelength_nm
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -50,24 +53,23 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class IntegratorStats:
-    n_steps: int
-    n_rhs_evals: int
-    max_norm_drift: float
+IntegratorStats = namedtuple("IntegratorStats",
+                             "n_steps n_rhs_evals max_norm_drift")
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Record):
     """Sampled evolution plus the context needed to rerun it."""
 
-    z_um: np.ndarray          # (n_samples,) strictly increasing
-    amplitudes: np.ndarray    # (n_samples, n) complex, one row per z
-    stats: IntegratorStats
-    layout: ArrayLayout
-    model: CouplingModel
-    wavelength_nm: float
-    options: "PropagationOptions"
+    __slots__ = ("z_um", "amplitudes", "stats", "layout", "model",
+                 "wavelength_nm", "options")
+
+    def __init__(self, z_um: np.ndarray, amplitudes: np.ndarray, stats,
+                 layout: ArrayLayout, model: CouplingModel,
+                 wavelength_nm: float, options):
+        self.z_um = z_um                  # (n_samples,) strictly increasing
+        self.amplitudes = amplitudes      # (n_samples, n) complex, one row per z
+        self.stats, self.layout, self.model = stats, layout, model
+        self.wavelength_nm, self.options = wavelength_nm, options
 
     @property
     def final(self) -> StateVector:
@@ -75,15 +77,15 @@ class Trajectory:
                            self.wavelength_nm)
 
 
-@dataclass(frozen=True)
-class PropagationOptions:
-    rtol: float = 1e-10
-    atol: float = 1e-12
+class PropagationOptions(namedtuple("PropagationOptions", "rtol atol")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks
 
-    def __post_init__(self):
+    def __new__(cls, rtol: float = 1e-10, atol: float = 1e-12):
         # a NaN tolerance would leave the step control shrinking forever
-        if not (0 < self.rtol < np.inf and 0 <= self.atol < np.inf):
+        if not (0 < rtol < np.inf and 0 <= atol < np.inf):
             raise ValueError("need finite tolerances, rtol > 0 and atol >= 0")
+        return super().__new__(cls, rtol, atol)
 
 
 def unit_state(n: int, label: int, lam: float, z_um: float = 0.0) -> StateVector:

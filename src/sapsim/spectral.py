@@ -10,34 +10,40 @@ at the integrator tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 
 from .coupling import CouplingModel
-from .errors import GeometryError
+from .errors import GeometryError, Record
 from .geometry import TOPOLOGY, ArrayLayout, Kind, build_layout
 from .propagator import PropagationOptions, propagate_batch
-from .analysis import SplitReport, split_report
+from .analysis import split_report
 
 SCAN_PARAMETERS = ("kappa_ref", "rho", "detuning", "alpha", "separation",
                    "cut_fraction")
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSummary:
-    mean_fractions: np.ndarray
-    std_fractions: np.ndarray
-    mean_pair_fractions: np.ndarray
-    worst_crosstalk_db: float
-    max_phase_dev_rad: float
+class SpectralSummary(Record):
+    __slots__ = ("mean_fractions", "std_fractions", "mean_pair_fractions",
+                 "worst_crosstalk_db", "max_phase_dev_rad")
+
+    def __init__(self, mean_fractions: np.ndarray, std_fractions: np.ndarray,
+                 mean_pair_fractions: np.ndarray, worst_crosstalk_db: float,
+                 max_phase_dev_rad: float):
+        self.mean_fractions, self.std_fractions = mean_fractions, std_fractions
+        self.mean_pair_fractions = mean_pair_fractions
+        self.worst_crosstalk_db = worst_crosstalk_db
+        self.max_phase_dev_rad = max_phase_dev_rad
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralCurve:
-    wavelengths_nm: np.ndarray
-    reports: tuple           # one SplitReport per grid point
-    summary: SpectralSummary
+class SpectralCurve(Record):
+    __slots__ = ("wavelengths_nm", "reports", "summary")
+
+    def __init__(self, wavelengths_nm: np.ndarray, reports: tuple,
+                 summary: SpectralSummary):   # one SplitReport per grid point
+        self.wavelengths_nm, self.reports = wavelengths_nm, reports
+        self.summary = summary
 
 
 def _wrap(phase: float) -> float:
@@ -93,12 +99,7 @@ def sweep_designs(layouts, models, lam_min: float, lam_max: float,
     return curves
 
 
-@dataclass(frozen=True, eq=False)
-class ScanEntry:
-    value: float
-    report: SplitReport      # None when the point is invalid
-    valid: bool
-    note: str = ""
+ScanEntry = namedtuple("ScanEntry", "value report valid note", defaults=[""])
 
 
 def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
@@ -110,7 +111,7 @@ def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
     ``parameter`` is one of kappa_ref / rho / detuning (model knobs) or
     alpha / separation / cut_fraction (geometry rebuilds from the layout's
     build parameters; only fsap3 has a cut). Geometrically invalid points
-    are marked, not fatal.
+    are marked, not fatal: their ScanEntry has report None and a note.
     """
     if parameter not in SCAN_PARAMETERS:
         raise ValueError(f"parameter must be one of {SCAN_PARAMETERS}")
@@ -126,9 +127,9 @@ def robustness_scan(layout: ArrayLayout, model: CouplingModel, parameter: str,
         lay, mod = layout, model
         try:
             if key is None:
-                mod = replace(model, **{parameter: float(value)})
+                mod = model._replace(**{parameter: float(value)})
             else:
-                lay = build_layout(replace(layout.spec, **{key: float(value)}))
+                lay = build_layout(layout.spec._replace(**{key: float(value)}))
             mod.decay_length(lam0)     # fail here rather than in the batch
             members[i] = (lay, mod)
         except (GeometryError, ValueError) as exc:

@@ -65,6 +65,21 @@ class TestPropagateCommand:
         assert main(["propagate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("name, data", [
+        ("run.ini", b"\xff\xfe[geometry]\nkind = sap3\n"),
+        ("run.json", b'{"geometry": {"kind": "sap3\xff"}}'),
+    ], ids=["ini", "json"])
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["propagate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: "
+                              "'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\nhalf_length = 5000\n",
         "[DEFAULT]\nrtol = 1e-9\n\n[geometry]\nkind = sap3\n",
@@ -313,6 +328,22 @@ def run_bounded(command, out, *overrides):
     assert time.monotonic() - start < 30.0
     assert "Traceback" not in proc.stderr
     return proc
+
+
+@pytest.mark.parametrize("command, out, culprit", [
+    ("propagate", "file", "file"),           # --out is an existing file
+    ("darkstate", "file/sub", "file/sub"),   # --out lies under a file
+    ("propagate", "dir", "dir/propagate.csv"),   # an output is a directory
+])
+def test_unusable_out_exits_2(tmp_path, command, out, culprit):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "propagate.csv").mkdir(parents=True)
+    proc = run_bounded(command, tmp_path / out,
+                       "propagation.samples=8", "propagation.rtol=1e-8")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: --out {tmp_path / out}: ")
+    assert proc.stderr.rstrip("\n").endswith(f"'{tmp_path / culprit}'")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["propagate", "sweep"])

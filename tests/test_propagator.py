@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,7 +204,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("field", ["kappa_ref", "detuning", "rho"])
     def test_non_finite_model_rejected(self, folded5_ref, model_ref, field):
-        model = replace(model_ref, **{field: math.nan})
+        model = model_ref._replace(**{field: math.nan})
         with pytest.raises(IntegrationError):
             propagate(folded5_ref, model, LAM0, nominal_input(folded5_ref, LAM0))
 
