@@ -8,6 +8,14 @@ has no amplitude on the inclined guides for any detuning:
 
 Both are exact null vectors of the full matrix including the detuning
 diagonal, because those diagonal entries only multiply the zero components.
+
+Both kinds are Lambda systems (Vitanov et al., Rev. Mod. Phys. 89, 015006
+(2017)). With a = k12, b = k23, c^2 = 1 (3 guides) or 2 (5), detuning d and
+W^2 = a^2 + c^2 b^2, d psi_dark/dz = -theta' (a, 0, c b) / W in the block
+[[0, a, 0], [a, d, c b], [0, c b, 0]] (the mirror-even one of 5 guides),
+with theta' = c (a b' - b a') / W^2. Its bright supermodes, at
+E+- = (d +- sqrt(d^2 + 4 W^2)) / 2, overlap it by |theta'| W / sqrt(W^2 +
+E+-^2); the mirror-odd block [[0, a], [a, d]] does not overlap it.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from .coupling import CouplingModel
 from .errors import IntegrationError, Record
 from .geometry import TOPOLOGY, ArrayLayout, Kind
-from .propagator import StateVector, coupling_chain, tridiagonal
+from .propagator import UM_PER_MM, StateVector, coupling_chain
 
 CROSSTALK_FLOOR_DB = -120.0
 DEGENERACY_GAP = 1e-12
@@ -83,9 +91,10 @@ def dark_state(M: np.ndarray) -> np.ndarray:
 class AdiabaticityProfile(Record):
     """Rotation-over-gap metric A(z); smaller is more adiabatic.
 
-    ``flagged`` holds the samples where the gap fell below 1e-12, and
-    ``eigenvalues`` (ascending) and ``dark_states``, each (n_samples, n),
-    the supermode data of each sample the metric was computed from."""
+    ``flagged`` holds the samples where a supermode came within 1e-12 of the
+    dark eigenvalue 0, and ``eigenvalues`` (ascending) and ``dark_states``,
+    each (n_samples, n), the supermode data of each sample the metric was
+    computed from."""
 
     __slots__ = ("z_um", "values", "flagged", "eigenvalues", "dark_states")
 
@@ -96,46 +105,81 @@ class AdiabaticityProfile(Record):
 
     @property
     def max_value(self) -> float:
-        return float(np.max(self.values))
+        """The vertex of the parabola through the top sample and its two
+        neighbours; the top sample at an end or next to an infinite one."""
+        i = int(np.argmax(self.values))
+        top = self.values[max(i - 1, 0):i + 2]
+        if top.size < 3 or not np.all(np.isfinite(top)):
+            return float(self.values[i])
+        before, peak, after = top.tolist()
+        curvature = 2.0 * peak - before - after    # >= 0 at the top sample
+        if curvature == 0.0:
+            return peak
+        return peak + (after - before) ** 2 / (8.0 * curvature)
+
+
+def _pair_eigenvalues(half_detuning: float, w: np.ndarray, w2: np.ndarray):
+    """Ascending eigenvalues of [[0, w], [w, 2 h]] for h = half_detuning and
+    w2 = w^2: h + sign(h) hypot(h, w) cannot cancel, and the other is -w2
+    over it (their product), or 0 where w and h both vanish."""
+    outer = half_detuning + np.copysign(np.hypot(half_detuning, w),
+                                        half_detuning)
+    inner = np.divide(-w2, outer, out=np.zeros_like(outer),
+                      where=outer != 0.0)
+    return np.minimum(outer, inner), np.maximum(outer, inner)
 
 
 def adiabaticity_margin(layout: ArrayLayout, model: CouplingModel, lam: float,
                         n_samples: int = 512) -> AdiabaticityProfile:
-    """A(z) = max over non-dark supermodes k of |<v_k|d psi_dark/dz>| / gap_k.
-
-    The dark state is evaluated on the sample grid (its closed form is
-    sign-continuous in z) and differentiated by centered finite differences;
-    end points use one-sided differences. Samples whose gap to the dark
-    eigenvalue falls below 1e-12 are flagged and carry A = inf. All samples
-    are decomposed in one batched eigh call. Raises IntegrationError naming
-    lam where the dark state is undefined (see ``_dark_vectors``) or the
-    sample spacing in mm is not a normal float.
+    """A(z) = max over non-dark supermodes k of |<v_k|d psi_dark/dz>| / |E_k|,
+    exact at each sample from the closed forms of the module docstring and
+    dk_i/dz = -k_i sign(g_i) dslope_i / delta(lam) (g_i = dx0_i + dslope_i z,
+    ``ArrayLayout.gaps``). ``eigenvalues`` are [E-, 0, E+] for 3 guides and
+    [E-, O-, 0, O+, E+] (O+- mirror-odd) for 5. Samples with a non-dark
+    eigenvalue within 1e-12 of 0 are flagged and carry A = inf. Raises
+    IntegrationError naming lam where the dark state is undefined (see
+    ``_dark_vectors``) or the sample spacing in mm is not a normal float.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     zs = np.linspace(0.0, layout.z_end_um, n_samples)
     dz_mm = (zs[1] - zs[0]) / 1000.0
-    if not dz_mm >= np.finfo(float).tiny:     # 2 / dz_mm must not overflow
+    if not dz_mm >= np.finfo(float).tiny:     # distinct, evenly spaced z
         raise IntegrationError(f"sample spacing {dz_mm} mm is not a normal "
                                f"float at lam = {lam} nm")
-    couplings, diagonal = coupling_chain([layout], [model], [lam])
+    couplings, _ = coupling_chain([layout], [model], [lam])
     with np.errstate(over="ignore", invalid="ignore"):    # checked next
         k = couplings(zs[:, None, None])[..., 0]
     darks = _dark_vectors(
         k, lambda reason: IntegrationError(f"{reason} at lam = {lam} nm"))
-    dpsi = np.gradient(darks, dz_mm, axis=0)
-    w, V = np.linalg.eigh(tridiagonal(k, diagonal[:, 0]))
 
-    dark_idx = np.argmax(np.abs(np.einsum("sij,si->sj", V, darks)), axis=1)
-    others = np.arange(layout.n_guides) != dark_idx[:, None]
-    gaps = np.abs(w - np.take_along_axis(w, dark_idx[:, None], axis=1))
-    degenerate = np.any(others & (gaps < DEGENERACY_GAP), axis=1)
-    rates = np.abs(np.einsum("sik,si->sk", V, dpsi))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(others, rates / gaps, 0.0)
-    values = np.where(degenerate, np.inf, ratios.max(axis=1))
+    # dk_i/dz = rate_i k_i in 1/mm, for k12 and k23
+    dx0, dslope = (v[:2] for v in layout.gaps)
+    rate = np.sign(dx0 + dslope * zs[:, None]) \
+        * (-dslope * UM_PER_MM / model.decay_length(lam))
+    a, b = k[:, 0], k[:, 1]
+    c = 1.0 if layout.n_guides == 3 else math.sqrt(2.0)
+    w2 = a * a + (c * b) ** 2
+    w, half = np.sqrt(w2), model.detuning / 2.0
+    theta_rate = c * (a * b / w2) * (rate[:, 1] - rate[:, 0])
+    lo, hi = _pair_eigenvalues(half, w, w2)
+    if layout.n_guides == 3:
+        eigenvalues = np.column_stack([lo, np.zeros_like(lo), hi])
+    else:
+        odd_lo, odd_hi = _pair_eigenvalues(half, a, a * a)
+        eigenvalues = np.column_stack([lo, odd_lo, np.zeros_like(lo),
+                                       odd_hi, hi])
+    # the ascending neighbours of the dark 0 are the nearest to it
+    mid = layout.n_guides // 2
+    degenerate = np.minimum(-eigenvalues[:, mid - 1],
+                            eigenvalues[:, mid + 1]) < DEGENERACY_GAP
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # the flagged samples are overwritten
+        weight = np.maximum(w / (np.hypot(w, lo) * -lo),
+                            w / (np.hypot(w, hi) * hi))
+        values = np.where(degenerate, np.inf, np.abs(theta_rate) * weight)
     flagged = tuple(int(i) for i in np.flatnonzero(degenerate))
-    return AdiabaticityProfile(zs, values, flagged, w, darks)
+    return AdiabaticityProfile(zs, values, flagged, eigenvalues, darks)
 
 
 class SplitReport(Record):

@@ -12,7 +12,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import dop853
 from .coupling import CouplingModel
@@ -226,13 +225,11 @@ def _rhs(layouts, models, lams, span_um):
         (n, B), S = a.shape, dop853.N_STAGES
         z, x = np.empty((S, 1, B)), np.empty((S, n - 1, B))
         k = np.empty((S, n - 1, B), dtype=complex)
-        # pair[0] = a[:-1] and pair[1] = a[1:]: one multiply makes the
-        # products with both neighbours. at(ts) fills all S rows of k;
-        # one point (a (1, 1, 1) or (1, 1, B) ts) fills each row with it.
-        pair = as_strided(a, (2, n - 1, B), a.strides[:1] + a.strides,
-                          writeable=False)
-        products, acc = np.empty(pair.shape, dtype=complex), np.empty_like(a)
-        rows, (from_below, from_above) = tuple(k), products
+        # at(ts) fills all S rows of k; one point (a (1, 1, 1) or (1, 1, B)
+        # ts) fills each row with it
+        rows, below, above = tuple(k), a[:-1], a[1:]
+        from_below, from_above = np.empty((2, n - 1, B), dtype=complex)
+        acc = np.empty_like(a)
         lower, upper = acc[:-1], acc[1:]
 
         def at(ts):
@@ -240,7 +237,8 @@ def _rhs(layouts, models, lams, span_um):
 
         def rate(s, out):
             np.multiply(diagonal, a, acc)
-            np.multiply(rows[s], pair, products)
+            np.multiply(rows[s], below, from_below)
+            np.multiply(rows[s], above, from_above)
             np.add(lower, from_above, lower)
             np.add(upper, from_below, upper)
             np.multiply(gain, acc, out)

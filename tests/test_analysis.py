@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sapsim import (ArrayLayout, CouplingModel, GeometryError, GeometrySpec,
-                    IntegrationError, Kind, StateVector, WaveguidePath, adiabaticity_margin,
+from sapsim import (ArrayLayout, CalibrationError, CouplingModel,
+                    GeometryError, GeometrySpec, IntegrationError, Kind,
+                    StateVector, WaveguidePath, adiabaticity_margin,
                     build_folded5, build_layout, calibrated_model, dark_state,
                     eigensystem, hamiltonian_at, loss_corrected_transfer,
                     propagate, split_report, unit_state)
@@ -159,28 +160,91 @@ class TestAdiabaticity:
             adiabaticity_margin(folded5_ref, model_ref, LAM0, 1)
 
 
+def dark_rate(layout, model, lam, z, H):
+    """d psi_dark/dz (1/mm) at z, for H = hamiltonian_at(..., z, ...).matrix.
+
+    Each coupling k = kappa_ref exp(-(d - d_ref) / delta(lam)) of guides
+    d = |x_{i+1} - x_i| apart changes at dk/dz = -k (dd/dz) / delta(lam),
+    and the unit vector psi = u / |u| of the unnormalized dark vector u at
+    d psi/dz = (du - psi (psi . du)) / |u|."""
+    k = np.diagonal(H, offset=1)
+    x0 = np.array([p.x0 for p in layout.paths])
+    slope = np.array([p.slope for p in layout.paths])
+    gap_slope = np.diff(slope)
+    dd_dz = np.sign(np.diff(x0) + gap_slope * z) * gap_slope * 1000.0
+    dk = -k * dd_dz / model.decay_length(lam)
+    if layout.n_guides == 3:
+        u, du = (np.array([v[1], 0.0, -v[0]]) for v in (k, dk))
+    else:
+        u, du = (np.array([-v[1], 0.0, v[0], 0.0, -v[1]]) for v in (k, dk))
+    norm = np.linalg.norm(u)
+    psi = u / norm
+    return (du - psi * (psi @ du)) / norm
+
+
 def per_sample_margin(layout, model, lam, n_samples):
     """adiabaticity_margin evaluated one sample at a time from the public
-    hamiltonian_at / eigensystem / dark_state: the reference for the
-    batched implementation."""
+    hamiltonian_at / eigensystem / dark_state and the closed-form dark
+    rate: the reference for the closed-form supermodes. Returns the
+    values, the flagged samples, numpy's eigvalsh of each sample, the
+    dark states, and max |H| of each sample."""
     zs = np.linspace(0.0, layout.z_end_um, n_samples)
     hams = [hamiltonian_at(layout, model, z, lam).matrix for z in zs]
     darks = np.array([dark_state(h) for h in hams])
-    dpsi = np.gradient(darks, (zs[1] - zs[0]) / 1000.0, axis=0)
-    values, flagged, eigenvalues = np.zeros(n_samples), [], []
+    values, flagged = np.zeros(n_samples), []
     n = layout.n_guides
-    for i, h in enumerate(hams):
+    for i, (z, h) in enumerate(zip(zs, hams)):
         w, V = eigensystem(h)
-        eigenvalues.append(w)
+        dpsi = dark_rate(layout, model, lam, z, h)
         dark = int(np.argmax(np.abs(V.T @ darks[i])))
         gaps = [abs(w[k] - w[dark]) for k in range(n) if k != dark]
         if min(gaps) < DEGENERACY_GAP:
             flagged.append(i)
             values[i] = np.inf
             continue
-        values[i] = max(abs(float(V[:, k] @ dpsi[i])) / abs(w[k] - w[dark])
+        values[i] = max(abs(float(V[:, k] @ dpsi)) / abs(w[k] - w[dark])
                         for k in range(n) if k != dark)
-    return values, tuple(flagged), np.array(eigenvalues), darks
+    return (values, tuple(flagged),
+            np.array([np.linalg.eigvalsh(h) for h in hams]), darks,
+            np.array([np.max(np.abs(h)) for h in hams]))
+
+
+BROKEN_MIRROR = ArrayLayout(
+    tuple(WaveguidePath(x, 0.0, i + 1)
+          for i, x in enumerate((0.0, 9.0, 20.0, 29.0, 44.0))),
+    1000.0, 6.0, Kind.FOLDED5)
+
+
+@st.composite
+def designs(draw):
+    """A layout of the default design box, any kind, and its calibrated
+    model with a detuning of either sign."""
+    kind = draw(st.sampled_from(list(Kind)))
+    spec = GeometrySpec(kind, draw(st.floats(3750.0, 11250.0)),
+                        draw(st.floats(11.0, 33.0)),
+                        draw(st.floats(0.015, 0.045)), WIDTH,
+                        draw(st.floats(0.5, 2.0)))
+    try:
+        layout = build_layout(spec)
+        model = calibrated_model(layout, draw(st.floats(0.05, 0.5)),
+                                 draw(st.floats(0.3, 3.0)), LAM0,
+                                 detuning=draw(st.floats(-1.0, 1.0)))
+    except (GeometryError, CalibrationError):
+        assume(False)
+    return layout, model
+
+
+def _straight_folded5(detuning):
+    return (build_folded5(HALF_LENGTH, SEPARATION, 0.0, WIDTH),
+            CouplingModel(kappa_ref=0.7, d_ref=11.0, delta_decay=4.14,
+                          lambda0=LAM0, detuning=detuning))
+
+
+def _reference(kind, detuning=0.0, kappa_ref=0.7, ratio=TARGET_RATIO):
+    layout = build_layout(GeometrySpec(kind, HALF_LENGTH, SEPARATION, 0.03,
+                                       WIDTH))
+    return layout, calibrated_model(layout, ratio, kappa_ref, LAM0,
+                                    detuning=detuning)
 
 
 class TestBatchedMargin:
@@ -199,6 +263,9 @@ class TestBatchedMargin:
     def test_matches_per_sample_reference(self, kind, half_length, separation,
                                           angle, cut, kappa_ref, detuning,
                                           lam, n_samples):
+        # the closed-form supermodes against numpy's eigh of each sample
+        # (measured spread over 473 drawn systems: 2.5e-14 relative in the
+        # values, 2.5e-15 max|H| in the eigenvalues)
         try:
             layout = build_layout(GeometrySpec(kind, half_length, separation,
                                                angle, WIDTH, cut))
@@ -207,20 +274,65 @@ class TestBatchedMargin:
         model = CouplingModel(kappa_ref=kappa_ref, d_ref=10.0,
                               delta_decay=4.14, lambda0=LAM0,
                               detuning=detuning)
-        values, flagged, eigenvalues, darks = per_sample_margin(
+        values, flagged, eigenvalues, darks, scales = per_sample_margin(
             layout, model, lam, n_samples)
         profile = adiabaticity_margin(layout, model, lam, n_samples)
         assert profile.flagged == flagged
         finite = np.isfinite(values)
         assert np.array_equal(np.isfinite(profile.values), finite)
         assert np.all(np.abs(profile.values[finite] - values[finite])
-                      <= 1e-12 * np.max(values[finite], initial=1e-300))
+                      <= 1e-9 * values[finite])
         if angle == 0.0:
             assert np.all(profile.values == 0.0)
-        assert np.array_equal(profile.eigenvalues, eigenvalues)
+        assert np.all(np.abs(profile.eigenvalues - eigenvalues)
+                      <= 1e-12 * scales[:, None])
         assert np.array_equal(profile.dark_states, darks)
         inclined = [label - 1 for label in layout.inclined_labels]
         assert np.all(profile.dark_states[:, inclined] == 0.0)
+
+    @example(design=_straight_folded5(detuning=0.3), lam=LAM0)
+    @example(design=_reference(Kind.SAP3, detuning=1e300), lam=LAM0)
+    @example(design=_reference(Kind.FOLDED5, detuning=-1e300), lam=1600.0)
+    @example(design=_reference(Kind.FSAP3, kappa_ref=0.0), lam=LAM0)
+    # k12 falls below 1e-12 near the end: only the mirror-odd pair +-k12
+    # comes that close to the dark eigenvalue
+    @example(design=_reference(Kind.FOLDED5, ratio=1e-13), lam=LAM0)
+    @example(design=(BROKEN_MIRROR, CouplingModel(kappa_ref=0.7, d_ref=10.0,
+                                                  delta_decay=4.14,
+                                                  lambda0=LAM0)), lam=LAM0)
+    @given(design=designs(), lam=st.floats(1500.0, 1630.0))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_peak_within_dense_reference(self, design, lam):
+        # the margin at the design and darkstate sample counts against the
+        # closed form at 100001 samples (worst measured over 300 drawn
+        # designs: 1.7e-7 relative at 201 samples, 4.2e-9 at 512)
+        layout, model = design
+        if model.kappa_ref == 0.0:
+            with pytest.raises(IntegrationError,
+                               match="all couplings are zero"):
+                adiabaticity_margin(layout, model, lam, 201)
+            return
+        if layout is BROKEN_MIRROR:
+            with pytest.raises(ValueError, match="mirror"):
+                adiabaticity_margin(layout, model, lam, 201)
+            return
+        dense = adiabaticity_margin(layout, model, lam, 100001).max_value
+        for n_samples in (201, 512):
+            profile = adiabaticity_margin(layout, model, lam, n_samples)
+            assert np.all(np.isfinite(profile.eigenvalues))
+            flagged = list(profile.flagged)
+            others = np.delete(profile.eigenvalues, layout.n_guides // 2,
+                               axis=1)
+            assert flagged == list(np.flatnonzero(
+                np.min(np.abs(others), axis=1) < DEGENERACY_GAP))
+            assert np.all(profile.values[flagged] == np.inf)
+            assert np.all(np.isfinite(np.delete(profile.values, flagged)))
+            if abs(model.detuning) == 1e300:
+                # E- = -W^2 / 1e300 sits next to the dark eigenvalue 0
+                assert profile.flagged == tuple(range(n_samples))
+            if all(p.slope == 0.0 for p in layout.paths):
+                assert np.all(profile.values == 0.0)
+            assert profile.max_value == pytest.approx(dense, rel=1e-6)
 
     def test_zero_coupling_raises_like_dark_state(self, folded5_ref):
         model = calibrated_model(folded5_ref, TARGET_RATIO, 0.0, LAM0)

@@ -317,6 +317,27 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "propagate_summary.json").exists()
 
 
+@pytest.mark.parametrize("override, code", [("propagation.samples=9", 0),
+                                            ("coupling.kappa_ref=0", 2)])
+def test_console_script_runs_like_the_module(tmp_path, override, code):
+    # the function pyproject.toml installs as `sapsim`, run as the
+    # generated script runs it, exits like `python -m sapsim`
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, function = target["sapsim"].split(":")
+    script = (f"import sys\nfrom {module} import {function}\n"
+              f"sys.exit({function}())\n")
+    procs = [subprocess.run(
+        [*launcher, "darkstate", "--out", str(tmp_path / str(i)),
+         "--override", override],
+        capture_output=True, text=True, timeout=30, env=SUBPROCESS_ENV)
+        for i, launcher in enumerate([[sys.executable, "-c", script],
+                                      [sys.executable, "-m", "sapsim"]])]
+    assert [proc.returncode for proc in procs] == [code, code]
+    assert procs[0].stderr == procs[1].stderr
+
+
 def run_bounded(command, out, *overrides):
     """Run the CLI in a subprocess that must finish within 30 s."""
     start = time.monotonic()
