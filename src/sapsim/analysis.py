@@ -10,10 +10,10 @@ Both are exact null vectors of the full matrix including the detuning
 diagonal, because those diagonal entries only multiply the zero components.
 
 Both kinds are Lambda systems (Vitanov et al., Rev. Mod. Phys. 89, 015006
-(2017)). With a = k12, b = k23, c^2 = 1 (3 guides) or 2 (5), detuning d and
-W^2 = a^2 + c^2 b^2, d psi_dark/dz = -theta' (a, 0, c b) / W in the block
-[[0, a, 0], [a, d, c b], [0, c b, 0]] (the mirror-even one of 5 guides),
-with theta' = c (a b' - b a') / W^2. Its bright supermodes, at
+(2017)). With a = k12, b = k23, detuning d and W^2 = a^2 + c^2 b^2 in the
+block [[0, a, 0], [a, d, c b], [0, c b, 0]] (``ArrayLayout.lambda_block``),
+d psi_dark/dz = -theta' (a, 0, c b) / W with theta' = c (a b' - b a') /
+W^2. Its bright supermodes, at
 E+- = (d +- sqrt(d^2 + 4 W^2)) / 2, overlap it by |theta'| W / sqrt(W^2 +
 E+-^2); the mirror-odd block [[0, a], [a, d]] does not overlap it.
 """
@@ -40,13 +40,10 @@ def eigensystem(M: np.ndarray) -> tuple:
 
 
 def _dark_vectors(k: np.ndarray, undefined=ValueError) -> np.ndarray:
-    """Closed-form dark states (s, n) from nearest-neighbor couplings (s, n-1).
-
-    Raises ValueError unless n is 3 or 5, or when a 5-guide sample lacks the
-    mirror pattern k34 = k23, k45 = k12 (to 1e-9 relative); raises
-    ``undefined(reason)`` when both couplings vanish at a sample, or when a
-    squared norm is not a normal float (it overflows or underflows).
-    """
+    """Closed-form dark states (s, n) from nearest-neighbor couplings (s, n-1),
+    5 guides taken as mirror symmetric (k34 = k23, k45 = k12). Raises
+    ValueError unless n is 3 or 5, and ``undefined(reason)`` when both
+    couplings vanish at a sample or a squared norm is not a normal float."""
     n = k.shape[-1] + 1
     if n not in (3, 5):
         raise ValueError(f"dark state defined for 3 or 5 guides, got {n}")
@@ -54,15 +51,8 @@ def _dark_vectors(k: np.ndarray, undefined=ValueError) -> np.ndarray:
     if np.any((k12 == 0.0) & (k23 == 0.0)):
         raise undefined("dark state undefined: all couplings are zero")
     zero = np.zeros_like(k12)
-    if n == 3:
-        v = np.stack([k23, zero, -k12], axis=1)
-        ref = 0
-    else:
-        # (k34, k45) against (k23, k12)
-        if not np.all(np.isclose(k[:, 2:], k[:, 1::-1], rtol=1e-9, atol=1e-300)):
-            raise ValueError("5-guide matrix lacks the mirror coupling pattern")
-        v = np.stack([-k23, zero, k12, zero, -k23], axis=1)
-        ref = 2
+    v = np.stack([k23, zero, -k12] if n == 3
+                 else [-k23, zero, k12, zero, -k23], axis=1)
     with np.errstate(over="ignore", under="ignore"):    # checked next
         norm = np.linalg.norm(v, axis=1, keepdims=True)
         # the squared norm must be a normal float: couplings below about
@@ -73,7 +63,7 @@ def _dark_vectors(k: np.ndarray, undefined=ValueError) -> np.ndarray:
         raise undefined("dark state undefined: coupling norm is not a "
                         "normal float")
     v /= norm
-    return np.where(v[:, ref:ref + 1] < 0, -v, v)
+    return np.where(v[:, n - 3:n - 2] < 0, -v, v)   # input guide 1 or 3 >= 0
 
 
 def dark_state(M: np.ndarray) -> np.ndarray:
@@ -82,9 +72,13 @@ def dark_state(M: np.ndarray) -> np.ndarray:
     Constructed from the null-space structure (exact zeros on the inclined
     guides), sign-fixed so the input-guide component (guide 1 for the
     3-guide device, guide 3 for the 5-guide one) is non-negative.
-    Raises ValueError when both couplings vanish.
+    Raises ValueError when both couplings vanish, or when a 5-guide matrix
+    lacks the mirror pattern k34 = k23, k45 = k12 (to 1e-9 relative).
     """
     k = np.diagonal(np.asarray(M, dtype=float), offset=1)
+    if k.size == 4 and not np.allclose(k[2:], k[1::-1], rtol=1e-9,
+                                       atol=1e-300):   # (k34, k45), (k23, k12)
+        raise ValueError("5-guide matrix lacks the mirror coupling pattern")
     return _dark_vectors(k[None, :])[0]
 
 
@@ -133,15 +127,17 @@ def adiabaticity_margin(layout: ArrayLayout, model: CouplingModel, lam: float,
                         n_samples: int = 512) -> AdiabaticityProfile:
     """A(z) = max over non-dark supermodes k of |<v_k|d psi_dark/dz>| / |E_k|,
     exact at each sample from the closed forms of the module docstring and
-    dk_i/dz = -k_i sign(g_i) dslope_i / delta(lam) (g_i = dx0_i + dslope_i z,
-    ``ArrayLayout.gaps``). ``eigenvalues`` are [E-, 0, E+] for 3 guides and
-    [E-, O-, 0, O+, E+] (O+- mirror-odd) for 5. Samples with a non-dark
-    eigenvalue within 1e-12 of 0 are flagged and carry A = inf. Raises
-    IntegrationError naming lam where the dark state is undefined (see
-    ``_dark_vectors``) or the sample spacing in mm is not a normal float.
-    """
+    dk_i/dz = -k_i sign(g_i) dslope_i / delta(lam) (g_i = dx0_i + dslope_i z
+    and c from ``ArrayLayout.lambda_block``, which raises GeometryError for
+    a layout without a three-level block). ``eigenvalues`` are [E-, 0, E+]
+    for 3 guides and [E-, O-, 0, O+, E+] (O+- mirror-odd) for 5. Samples
+    with a non-dark eigenvalue within 1e-12 of 0 are flagged and carry
+    A = inf. Raises IntegrationError naming lam where the dark state is
+    undefined (see ``_dark_vectors``) or the sample spacing in mm is not a
+    normal float."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    dx0, dslope, (_, c) = layout.lambda_block      # of k12 and k23
     zs = np.linspace(0.0, layout.z_end_um, n_samples)
     dz_mm = (zs[1] - zs[0]) / 1000.0
     if not dz_mm >= np.finfo(float).tiny:     # distinct, evenly spaced z
@@ -154,21 +150,16 @@ def adiabaticity_margin(layout: ArrayLayout, model: CouplingModel, lam: float,
         k, lambda reason: IntegrationError(f"{reason} at lam = {lam} nm"))
 
     # dk_i/dz = rate_i k_i in 1/mm, for k12 and k23
-    dx0, dslope = (v[:2] for v in layout.gaps)
     rate = np.sign(dx0 + dslope * zs[:, None]) \
         * (-dslope * UM_PER_MM / model.decay_length(lam))
     a, b = k[:, 0], k[:, 1]
-    c = 1.0 if layout.n_guides == 3 else math.sqrt(2.0)
     w2 = a * a + (c * b) ** 2
     w, half = np.sqrt(w2), model.detuning / 2.0
     theta_rate = c * (a * b / w2) * (rate[:, 1] - rate[:, 0])
     lo, hi = _pair_eigenvalues(half, w, w2)
-    if layout.n_guides == 3:
-        eigenvalues = np.column_stack([lo, np.zeros_like(lo), hi])
-    else:
-        odd_lo, odd_hi = _pair_eigenvalues(half, a, a * a)
-        eigenvalues = np.column_stack([lo, odd_lo, np.zeros_like(lo),
-                                       odd_hi, hi])
+    odd = _pair_eigenvalues(half, a, a * a) if layout.n_guides == 5 else ()
+    eigenvalues = np.column_stack([lo, *odd[:1], np.zeros_like(lo),
+                                   *odd[1:], hi])
     # the ascending neighbours of the dark 0 are the nearest to it
     mid = layout.n_guides // 2
     degenerate = np.minimum(-eigenvalues[:, mid - 1],

@@ -69,18 +69,9 @@ TOPOLOGY = {
 
 
 class WaveguidePath(namedtuple("WaveguidePath", "x0 slope label")):
-    """Straight centerline x(z) = x0 + slope * z.
-
-    Attributes
-    ----------
-    x0:
-        Transverse position at z = 0 (um).
-    slope:
-        Lateral rate dx/dz (dimensionless); 0 for straight guides,
-        +-tan(alpha) for inclined ones.
-    label:
-        1-based guide index.
-    """
+    """Straight centerline x(z) = x0 + slope * z of the guide with 1-based
+    index ``label``: x0 in um at z = 0, slope dx/dz 0 for straight guides
+    and +-tan(alpha) for inclined ones."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace checks
@@ -161,6 +152,22 @@ class ArrayLayout(Record):
         dx0[i] + dslope[i] * z apart (signed, um)."""
         return (np.diff([p.x0 for p in self.paths]),
                 np.diff([p.slope for p in self.paths]))
+
+    @cached_property
+    def lambda_block(self) -> tuple:
+        """(dx0, dslope, scale), each (2,): the gaps of k12 and k23 and their
+        factors (1, c) in the three-level block [[0, k12, 0], [k12, d, c k23],
+        [0, c k23, 0]] that holds the launched guide. For 3 guides it is the
+        device (c = 1); for 5, the mirror-even block on (e1 + e5) / sqrt 2,
+        (e2 + e4) / sqrt 2 and e3 (c = sqrt 2), exact when the reversed gaps
+        equal the gaps (to 1e-9 relative; else GeometryError)."""
+        g = np.array(self.gaps)
+        if self.n_guides == 3:
+            return (*g, np.ones(2))
+        if self.n_guides != 5 or not np.all(abs(g[:, ::-1] - g) <= 1e-9 * abs(g)):
+            raise GeometryError(f"{self.n_guides}-guide layout has no three-"
+                                "level block: it is not mirror symmetric")
+        return (*g[:, :2], np.array([1.0, math.sqrt(2.0)]))
 
     def _path(self, label: int) -> WaveguidePath:
         if not 1 <= label <= self.n_guides:

@@ -19,8 +19,8 @@ from .errors import IntegrationError, Record
 from .geometry import ArrayLayout
 
 UM_PER_MM = 1000.0
-# Members per batched solve. Its workspace, 35 (n, B) and 14 (n - 1, B)
-# complex and 12 (n - 1, B) float arrays, is 17 MB at n = 5 (21 MB at peak).
+# Members per batched solve. Its workspace, 35 (3, B) and 14 (2, B) complex
+# and 12 (2, B) float arrays for any kind, is 9.5 MB (13 MB at peak).
 BATCH_SIZE = 4096
 # Oracle slices decomposed per batched eigh call; bounds its memory.
 _ORACLE_BATCH = 4096
@@ -99,39 +99,37 @@ def nominal_input(layout: ArrayLayout, lam: float) -> StateVector:
     return unit_state(layout.n_guides, layout.input_label, lam)
 
 
-def coupling_chain(layouts, models, lams):
+def coupling_chain(layouts, models, lams, block=False):
     """The entries of H for B systems: ``(couplings, diagonal)``.
 
     Member b is (layouts[b], models[b], lams[b]), wavelengths in nm; the
-    layouts share one guide count n. One system is a batch of one. Every
-    per-member quantity below (dx0, dslope, delta(lam), kappa_ref, d_ref and
-    the diagonal) carries a trailing member axis, so that a batch's
-    neighbours are contiguous rows.
+    layouts share one guide count n, or with ``block`` n is 3, the members'
+    three-level blocks (``ArrayLayout.lambda_block``). Each per-member
+    quantity below (dx0, dslope, delta(lam), kappa_ref, d_ref and the
+    diagonal) has a trailing member axis, so neighbours are contiguous rows.
 
     ``couplings(z_um)`` returns the n-1 nearest-neighbor rates (1/mm)
 
         k_bi(z) = kappa_ref_b * exp(-(|dx0_bi + dslope_bi * z| - d_ref_b)
-                                    / delta_b(lam_b)),
+                                    / delta_b(lam_b))
 
-    shaped (n-1, B) for a scalar z or a (B,) array of per-member
-    positions, and (S, n-1, B) for S positions given as an (S, 1, 1) or
-    (S, 1, B) array. ``couplings(z_um, x, out)`` evaluates in place in the
-    float array x and writes the result to ``out`` (float or complex),
-    both of the result's shape.
-    ``diagonal``, (n, B), holds the detuning on the inclined guides and
-    zero elsewhere.
+    (times c for a block's k23), shaped (n-1, B) for a scalar z or a (B,)
+    array of per-member positions, and (S, n-1, B) for S positions given as
+    an (S, 1, 1) or (S, 1, B) array. ``couplings(z_um, x, out)`` evaluates
+    in place in the float array x and writes the result to ``out`` (float
+    or complex), both of the result's shape. ``diagonal``, (n, B), holds
+    the detuning on the inclined guides (a block's middle row), else zero.
     """
-    members = list(zip(layouts, models, lams))
-    if len({lay.n_guides for lay, _, _ in members}) > 1:
-        raise ValueError("a batch needs one guide count")
-    dx0, dslope = (np.array([lay.gaps[i] for lay, _, _ in members]).T.copy()
-                   for i in (0, 1))
+    rows = [lay.lambda_block if block else (*lay.gaps, 1.0) for lay in layouts]
+    dx0, dslope, scale = (np.array(v).T.copy() for v in zip(*rows))
     delta_lam, kref, dref = np.array(
         [[mod.decay_length(lam), mod.kappa_ref, mod.d_ref]
-         for _, mod, lam in members]).T.copy()[:, None]
-    diagonal = np.array([[mod.detuning if label in lay.inclined_labels else 0.0
+         for mod, lam in zip(models, lams)]).T.copy()[:, None]
+    kref = kref * scale
+    diagonal = np.array([[0.0, mod.detuning, 0.0] if block else
+                         [mod.detuning if label in lay.inclined_labels else 0.0
                           for label in range(1, lay.n_guides + 1)]
-                         for lay, mod, _ in members]).T.copy()
+                         for lay, mod in zip(layouts, models)]).T.copy()
 
     def couplings(z_um, x=None, out=None):
         # kref * exp((dref - |dx0 + dslope z|) / delta), in place in x
@@ -177,21 +175,20 @@ def _rhs(layouts, models, lams, span_um):
     coupling_chain), applied without forming H; t is z in units of the
     span. A scalar ``span_um`` is one system, with a 1-D state, stepping in
     mm (span UM_PER_MM): the result is ``rhs(t, a)``. A (1, B) array is a
-    batch, with an (n, B) state, stepping in each member's unit span (span
-    z_end), so that members of any length step together: the result is
-    ``dop853.solve``'s batch interface, ``bind(a)``, which makes the
-    buffers of one solve and returns its ``(at, rate)``.
+    batch of three-level blocks, with a (3, B) state, stepping in each
+    member's unit span (span z_end), so that members of any length step
+    together: the result is ``dop853.solve``'s batch interface, ``bind(a)``,
+    which makes the buffers of one solve and returns its ``(at, rate)``.
 
     Raises IntegrationError, naming the first such member's wavelength,
     when some member's H is not finite at either end ("non-finite
-    Hamiltonian at lam = ... nm") or its length is 0 mm in floating point.
-    Couplings are monotone in z (guides never cross), so finite ends bound
-    every interior value. One check per propagation keeps the integrator
-    from searching forever for a step on NaN input. A batch would step a
-    0 mm device in units of z_end; the length check makes it fail as it
-    fails alone, so both routes accept the same devices.
+    Hamiltonian at lam = ... nm"; couplings are monotone in z, so this
+    bounds every interior value and the integrator never searches forever
+    for a step on NaN input), or its length is 0 mm in floating point: one
+    system cannot step it, and a batch, in units of z_end, refuses it too.
     """
-    couplings, diagonal = coupling_chain(layouts, models, lams)
+    couplings, diagonal = coupling_chain(layouts, models, lams,
+                                         block=np.ndim(span_um) > 0)
     z_end_um = np.array([lay.z_end_um for lay in layouts])
     with np.errstate(over="ignore", invalid="ignore"):    # checked next
         ends = np.vstack([couplings(0.0), couplings(z_end_um), diagonal])
@@ -249,20 +246,26 @@ def _rhs(layouts, models, lams, span_um):
 
 
 def batch_finals(layouts, models, lams, opts: PropagationOptions = None) -> list:
-    """Final states of the nominal input for B systems, from one batched
-    DOP853 solve (see ``dop853``) of all of them.
+    """Final states of the nominal input for B systems of any kinds, from
+    one batched DOP853 solve (see ``dop853``) of their three-level blocks
+    (``ArrayLayout.lambda_block``), the input in row input_label - 1. A
+    folded5 final y expands to (y0 / r, y1 / r, y2, y1 / r, y0 / r) with
+    r = sqrt 2, mirror symmetric bit for bit.
 
-    Raises IntegrationError when the solve fails. ``_finals`` is the one
-    place that cuts members into such solves and re-solves a failed one.
+    Raises GeometryError for a layout without such a block, before any
+    step, and IntegrationError when the solve fails. ``_finals`` is the
+    one place that cuts members into solves and re-solves a failed one.
     """
     opts = opts or PropagationOptions()
     rhs = _rhs(layouts, models, lams,
                np.array([[lay.z_end_um for lay in layouts]]))
-    a0 = np.array([nominal_input(lay, lam).amplitudes
-                   for lay, lam in zip(layouts, lams)]).T.copy()
-    sol = dop853.solve(rhs, 0.0, 1.0, a0, opts.rtol, opts.atol)
-    return [StateVector(a, lay.z_end_um, lam)
-            for a, lay, lam in zip(sol.y.T, layouts, lams)]
+    a0 = np.zeros((3, len(layouts)), dtype=complex)
+    a0[[lay.input_label - 1 for lay in layouts], range(len(layouts))] = 1.0
+    y = dop853.solve(rhs, 0.0, 1.0, a0, opts.rtol, opts.atol).y
+    half = y[:2] / np.sqrt(2.0)
+    five = np.vstack([half, y[2:], half[::-1]]).T
+    return [StateVector(f if lay.n_guides == 5 else a, lay.z_end_um, lam)
+            for a, f, lay, lam in zip(y.T, five, layouts, lams)]
 
 
 def _finals(members, opts, size):
@@ -285,13 +288,12 @@ def propagate_batch(layouts, models, lams,
                     opts: PropagationOptions = None) -> list:
     """Final states of the nominal input for a batch of systems.
 
-    Member b is (layouts[b], models[b], lams[b]); all layouts share one
-    guide count. The members are solved by ``_finals`` in solves of at
-    most BATCH_SIZE; the result agrees with ``propagate`` member by member
-    to roundoff at the tolerance level. Members of one solve share its
-    step sequence, so a member's roundoff depends on which others are in
-    its solve. The first failing member raises the IntegrationError
-    ``propagate`` would.
+    Member b is (layouts[b], models[b], lams[b]), of any kinds. ``_finals``
+    solves them in ``batch_finals`` solves of at most BATCH_SIZE, which
+    agree with ``propagate`` member by member to roundoff at the tolerance
+    level; members of one solve share its steps, so a member's roundoff
+    depends on its companions. The first failing member raises the
+    IntegrationError ``propagate`` would.
     """
     members = list(zip(layouts, models, [float(v) for v in lams],
                        strict=True))

@@ -313,7 +313,7 @@ class TestBatchedMargin:
                 adiabaticity_margin(layout, model, lam, 201)
             return
         if layout is BROKEN_MIRROR:
-            with pytest.raises(ValueError, match="mirror"):
+            with pytest.raises(GeometryError, match="mirror"):
                 adiabaticity_margin(layout, model, lam, 201)
             return
         dense = adiabaticity_margin(layout, model, lam, 100001).max_value
@@ -343,6 +343,8 @@ class TestBatchedMargin:
             adiabaticity_margin(folded5_ref, model, LAM0, 11)
 
     def test_broken_mirror_raises_like_dark_state(self):
+        # dark_state checks its matrix; the margin checks the layout once,
+        # from its gaps (ArrayLayout.lambda_block), before any sample
         xs = (0.0, 9.0, 20.0, 29.0, 44.0)
         layout = ArrayLayout(tuple(WaveguidePath(x, 0.0, i + 1)
                                    for i, x in enumerate(xs)),
@@ -351,7 +353,7 @@ class TestBatchedMargin:
                               lambda0=LAM0)
         with pytest.raises(ValueError, match="mirror"):
             per_sample_margin(layout, model, LAM0, 5)
-        with pytest.raises(ValueError, match="mirror"):
+        with pytest.raises(GeometryError, match="mirror symmetric"):
             adiabaticity_margin(layout, model, LAM0, 5)
 
 

@@ -5,9 +5,12 @@ multi-system caller (sweeps, scans, calibration, the design grid) goes
 through it. These tests check it and the 1-D ``propagate``, member by
 member, against a one-system solve at rtol 1e-13 and the independent
 piecewise-constant ``propagate_oracle``, and check that a failing member
-fails the batch as it fails alone. The workspace route of the batch step
-is checked bit for bit against a frozen copy of the allocating route
-(``batch_oracle``).
+fails the batch as it fails alone. The batch solves each member's
+three-level block (``ArrayLayout.lambda_block``): for sap3 and fsap3 that
+is the device, and the workspace route of the batch step is checked bit
+for bit against a frozen copy of the allocating route (``batch_oracle``);
+folded5 members, its mirror-even block, are checked against that copy run
+on the full 5 x 5 H at rtol 1e-13, and for exact mirror symmetry.
 """
 
 import sys
@@ -19,10 +22,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sapsim import (GeometryError, IntegrationError, PropagationOptions,
-                    build_folded5, build_fsap3, build_sap3, calibrated_model,
-                    dop853, nominal_input, propagate, propagate_batch,
-                    propagate_oracle, propagator)
+from sapsim import (ArrayLayout, GeometryError, IntegrationError,
+                    PropagationOptions, build_folded5, build_fsap3, build_sap3,
+                    calibrated_model, dop853, nominal_input, propagate,
+                    propagate_batch, propagate_oracle, propagator, split_report)
 
 import batch_oracle
 from conftest import KAPPA_REF, LAM0, TARGET_RATIO
@@ -64,8 +67,9 @@ def device(draw, kinds):
     return layout, model, draw(st.floats(1500.0, 1630.0))
 
 
-# one batch holds one guide count: 3-guide devices of both kinds mixed, or
-# folded5 devices; their lengths differ, so members step in u = z / z_end
+# 3-guide devices of both kinds mixed, or folded5 devices (kinds of either
+# guide count mix in test_mixed_kinds_share_one_solve); their lengths
+# differ, so members step in u = z / z_end
 batches = st.one_of(st.lists(device(["sap3", "fsap3"]), min_size=1, max_size=4),
                     st.lists(device(["folded5"]), min_size=1, max_size=4))
 
@@ -108,11 +112,39 @@ def test_empty_batch():
     assert propagate_batch([], [], []) == []
 
 
-def test_mixed_guide_counts_rejected(sap3_ref, folded5_ref, model_sap3,
-                                     model_ref):
-    with pytest.raises(ValueError, match="guide count"):
-        propagate_batch([sap3_ref, folded5_ref], [model_sap3, model_ref],
-                        [LAM0, LAM0])
+def test_mixed_kinds_share_one_solve(sap3_ref, fsap3_ref, folded5_ref,
+                                     model_sap3, model_ref):
+    # every member is a three-level block, so kinds mix in one solve; each
+    # final keeps its layout's guide count
+    layouts = [sap3_ref, folded5_ref, fsap3_ref]
+    models = [model_sap3, model_ref,
+              calibrated_model(fsap3_ref, TARGET_RATIO, KAPPA_REF, LAM0)]
+    lams = [1500.0, LAM0, 1630.0]
+    finals = propagate_batch(layouts, models, lams)
+    for layout, model, lam, final in zip(layouts, models, lams, finals):
+        reference = propagate(layout, model, lam,
+                              opts=REFERENCE).final.amplitudes
+        assert final.amplitudes.shape == (layout.n_guides,)
+        assert np.max(np.abs(final.amplitudes - reference)) <= ROUTE_DA
+
+
+def test_non_mirror_folded5_fails_before_any_solve(folded5_ref, model_ref,
+                                                   monkeypatch):
+    # a hand-built folded5 layout whose guide 4 is 1 um off its mirror
+    # place has no three-level block: the batch rejects it from its gaps,
+    # before a step is taken or a member is solved alone, while the
+    # one-system route still propagates all 5 guides
+    paths = list(folded5_ref.paths)
+    paths[3] = paths[3]._replace(x0=paths[3].x0 + 1.0)
+    broken = ArrayLayout(tuple(paths), folded5_ref.z_end_um,
+                         folded5_ref.width_um, folded5_ref.kind)
+    monkeypatch.setattr(dop853, "solve", None)
+    monkeypatch.setattr(propagator, "propagate", None)
+    with pytest.raises(GeometryError, match="not mirror symmetric"):
+        propagate_batch([folded5_ref, broken], [model_ref] * 2, [LAM0] * 2)
+    monkeypatch.undo()
+    final = propagate(broken, model_ref, LAM0).final.amplitudes
+    assert abs(final[0]) != abs(final[4])
 
 
 @pytest.mark.parametrize("kappa_ref", [1e300, np.inf])
@@ -335,10 +367,10 @@ def test_member_order_does_not_change_a_member_bits(folded5_ref):
 
 
 @st.composite
-def seeded_batches(draw):
-    """B devices of one kind, B in {1, 2, 9, 45}, with rho drawn in [0, 2]
-    and the detuning zero or drawn in [-2, 2] /mm."""
-    kind = draw(st.sampled_from(["sap3", "fsap3", "folded5"]))
+def seeded_batches(draw, kinds):
+    """B devices of one of the kinds, B in {1, 2, 9, 45}, with rho drawn in
+    [0, 2] and the detuning zero or drawn in [-2, 2] /mm."""
+    kind = draw(st.sampled_from(kinds))
     size = draw(st.sampled_from([1, 2, 9, 45]))
     detuned = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -362,11 +394,38 @@ def finals_bits(members):
     return np.array([f.amplitudes for f in finals]).view(np.uint64)
 
 
-@given(members=seeded_batches())
+@given(members=seeded_batches(["sap3", "fsap3"]))
 @settings(max_examples=24, derandomize=True, deadline=None)
 def test_workspace_route_matches_the_allocating_route_bit_for_bit(members):
     expected = batch_oracle.finals(*zip(*members)).view(np.uint64)
     assert np.array_equal(finals_bits(members), expected)
+
+
+@given(members=seeded_batches(["folded5"]))
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_folded5_block_matches_the_full_matrix(members):
+    # the frozen route steps all 5 guides with its own H assembly; run at
+    # rtol 1e-13 it is a reference that shares nothing with the block.
+    # Over 200 draws of this strategy the block route was at most 6.2e-11
+    # from it, and the 5-guide route at the default rtol 9.7e-11.
+    finals = np.array([f.amplitudes
+                       for f in propagator.batch_finals(*zip(*members))])
+    reference = batch_oracle.finals(*zip(*members), rtol=REFERENCE.rtol,
+                                    atol=REFERENCE.atol)
+    assert np.max(np.abs(finals - reference)) <= ROUTE_DA
+
+
+@given(members=st.lists(device(["folded5"]), min_size=1, max_size=4))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_folded5_finals_are_mirror_exact(members):
+    # the block's finals expand to the 5 guides by one fixed map, so guides
+    # 1 and 5, and 2 and 4, carry the same bits, and the output phase
+    # arg(a1 conj(a5)) is 0 exactly
+    layouts, models, lams = zip(*members)
+    for layout, final in zip(layouts, propagate_batch(layouts, models, lams)):
+        a = final.amplitudes
+        assert bits(a[:2]) == bits(a[:2:-1])
+        assert split_report(final, layout.kind).phase_rel_rad == 0.0
 
 
 def test_solves_share_no_state(folded5_ref, model_ref, model_sap3, sap3_ref):

@@ -64,3 +64,21 @@ def test_tracer_install_and_uninstall_restore_every_binding():
 def test_hamiltonian_matrix(folded5_ref, model_ref):
     H = hamiltonian_at(folded5_ref, model_ref, 0.0, LAM0).matrix
     assert H.shape == (5, 5) and np.array_equal(H, H.T)
+
+
+def test_hamiltonian_matrix_is_the_full_folded5_matrix(folded5_ref,
+                                                      model_ref):
+    # The benchmark's reference solve integrates this matrix, so it must
+    # stay the full 5 x 5 H built from the public coupling law, apart from
+    # the three-level block the batched route solves: tridiagonal, with
+    # kappa(separation of guides i and i + 1) off the diagonal and the
+    # detuning on the inclined guides 2 and 4.
+    model = model_ref._replace(detuning=0.3)
+    for z in np.linspace(0.0, folded5_ref.z_end_um, 7):
+        H = hamiltonian_at(folded5_ref, model, z, 1600.0).matrix
+        k = [model.kappa(folded5_ref.separation(i, i + 1, z), 1600.0)
+             for i in range(1, 5)]
+        expected = (np.diag(k, 1) + np.diag(k, -1)
+                    + np.diag([0.0, 0.3, 0.0, 0.3, 0.0]))
+        assert np.array_equal(H == 0.0, expected == 0.0)
+        assert np.allclose(H, expected, rtol=1e-12, atol=0.0)

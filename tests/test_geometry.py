@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sapsim import (CouplingModel, GeometryError, GeometrySpec, Kind,
-                    WaveguidePath, adiabaticity_margin, build_folded5,
+from sapsim import (ArrayLayout, CouplingModel, GeometryError, GeometrySpec,
+                    Kind, WaveguidePath, adiabaticity_margin, build_folded5,
                     build_fsap3, build_layout, build_sap3, calibrated_model)
 from sapsim.coupling import facet_separations
 from sapsim.propagator import coupling_chain
@@ -134,6 +134,30 @@ class TestFolded5:
     def test_crossing_rejected(self):
         with pytest.raises(GeometryError):
             build_folded5(HALF_LENGTH, SEPARATION, 0.1, WIDTH)
+
+    def test_lambda_block_is_the_mirror_even_block(self, folded5_ref,
+                                                   sap3_ref):
+        # k12 and k23 with factors (1, sqrt 2) for folded5, whose mirrored
+        # gaps build_layout places equal only to roundoff; (1, 1) and every
+        # gap for 3 guides
+        dx0, dslope = folded5_ref.gaps
+        block = folded5_ref.lambda_block
+        assert np.array_equal(block[0], dx0[:2])
+        assert np.array_equal(block[1], dslope[:2])
+        assert np.array_equal(block[2], [1.0, math.sqrt(2.0)])
+        assert np.allclose(dx0[::-1], dx0, rtol=1e-14, atol=0.0)
+        assert [list(v) for v in sap3_ref.lambda_block] == [
+            list(sap3_ref.gaps[0]), list(sap3_ref.gaps[1]), [1.0, 1.0]]
+
+    @pytest.mark.parametrize("field, shift", [("x0", 1e-6), ("slope", 1e-9)])
+    def test_lambda_block_needs_the_mirror(self, folded5_ref, field, shift):
+        paths = list(folded5_ref.paths)
+        paths[4] = paths[4]._replace(**{field: getattr(paths[4], field)
+                                        + shift})
+        layout = ArrayLayout(tuple(paths), folded5_ref.z_end_um, WIDTH,
+                             Kind.FOLDED5)
+        with pytest.raises(GeometryError, match="not mirror symmetric"):
+            layout.lambda_block
 
 
 class TestSeparationQueries:

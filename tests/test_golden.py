@@ -22,7 +22,10 @@ darkstate and optimize hashes, and the margins and scores of the optimize
 runs in data/sequential_outputs.json, were re-recorded once more when the
 adiabaticity margin moved from a finite difference and eigh to closed-form
 supermodes (every margin moved by at most 9.4e-5 relative; the ranking
-did not move).
+did not move). The folded5 sweep and optimize hashes were re-recorded once
+more when the batched route moved to folded5's three-level mirror-even
+block: every batched final moved by at most 2.0e-12, every score by at
+most 1.7e-12 relative, and the ranking did not move (see CHANGES.md).
 """
 
 import hashlib
@@ -50,9 +53,9 @@ GOLDEN = {
         "propagate_summary.json":
             "a0d105ce2665d5d0fbefade97fcbb620bf3e3f63ec918da6638ecb945829e60d",
         "sweep.csv":
-            "73739c8932910cfc69fb61fd80b8bc594821bf0649cd629bbcef8de6bcc86633",
+            "2cf874fc00caa9406d555559bfdacf2df188ea98080806e2114e51fe11edc7eb",
         "sweep_summary.json":
-            "e5ab47bc90294f09e3b09f364eecebff3459c4ef209a87f0f84b8d7e0414a224",
+            "e69e6e507f192615a2b5cd91b0f736047671a752db76c6fea213023f9037c00e",
         "farfield.csv":
             "9066935fb9b7b68dcb315c4019ac7fb951a76fc247e168501b63ad8dce409de1",
         "farfield_summary.json":
@@ -68,9 +71,9 @@ GOLDEN = {
         "propagate_summary.json":
             "59f0ae009b5a329171f1424d27293f97aa6a4e03d6d01ac2cb00a533cf5f6247",
         "sweep.csv":
-            "73739c8932910cfc69fb61fd80b8bc594821bf0649cd629bbcef8de6bcc86633",
+            "2cf874fc00caa9406d555559bfdacf2df188ea98080806e2114e51fe11edc7eb",
         "sweep_summary.json":
-            "e5ab47bc90294f09e3b09f364eecebff3459c4ef209a87f0f84b8d7e0414a224",
+            "e69e6e507f192615a2b5cd91b0f736047671a752db76c6fea213023f9037c00e",
         "farfield.csv":
             "9066935fb9b7b68dcb315c4019ac7fb951a76fc247e168501b63ad8dce409de1",
         "farfield_summary.json":
@@ -109,9 +112,9 @@ GOLDEN_AVX2 = {
         "propagate_summary.json":
             "edcdc3c9953c922c00b2c2f19f6f3f577ee57addb0fe71f789873e632b705799",
         "sweep.csv":
-            "53427afbcf685cc7b1ad53c8039841d58546ced89bc3f4ecb0aeae3e3853a7a5",
+            "46d3e36b1a0173c5cb635fd4099657b681379ac5557df4fa2859a1c02eefd2f8",
         "sweep_summary.json":
-            "0460514998654f26129ee7c94cef2c1a49e0bc575305c8091684cfc1feeda06e",
+            "35873ccbfbd6a9987746ba7199dcdc3d4dad3ab52754fd2baf1c73a0f97accb2",
         "farfield.csv":
             "b7e4d33a736bfd9721fb085b114ee0d430fea46a6dbdd93c68bb8394d1d69108",
         "darkstate.csv":
@@ -125,9 +128,9 @@ GOLDEN_AVX2 = {
         "propagate_summary.json":
             "607ea7076dc78be461486a869987126668025f1a6bd1215102d0a7383c0d0019",
         "sweep.csv":
-            "53427afbcf685cc7b1ad53c8039841d58546ced89bc3f4ecb0aeae3e3853a7a5",
+            "46d3e36b1a0173c5cb635fd4099657b681379ac5557df4fa2859a1c02eefd2f8",
         "sweep_summary.json":
-            "0460514998654f26129ee7c94cef2c1a49e0bc575305c8091684cfc1feeda06e",
+            "35873ccbfbd6a9987746ba7199dcdc3d4dad3ab52754fd2baf1c73a0f97accb2",
         "farfield.csv":
             "b7e4d33a736bfd9721fb085b114ee0d430fea46a6dbdd93c68bb8394d1d69108",
         "darkstate.csv":
@@ -203,16 +206,16 @@ OPTIMIZE_OVERRIDES = ("design.steps_alpha=1", "design.steps_separation=2",
                       "design.steps_half_length=2")
 OPTIMIZE_GOLDEN = {
     "optimize.csv":
-        "6f5f4198fb0ab1963899975dcc838f000249f210908ebadad42b6e27e51a595d",
+        "685d1d7f5695a570812210e1d615e9d8a4162fea84a8e6b965a170f85a92c2ac",
     "optimize_best.json":
-        "6ddddb4b70a79e4146680935c2d60d393dfd57968c8452eda7cee2bfc79bd486",
+        "9cf79275257ecc7231825c913b1fd9d758d6e4e9132ee89d44bccd23d7e19fda",
 }
 
 OPTIMIZE_GOLDEN_AVX2 = {
     "optimize.csv":
-        "bc6e8c4868490cf0901b78b47e4e95b69786aee84d1b77790e75937e87886e00",
+        "d18ecf12eba6cb6d69f5372c478bdd1fdca44b4da21590e1d364cf4e14d81541",
     "optimize_best.json":
-        "93d685373b5ff5d4e8c4e195628a6efcba29f8b36df4c1ee31b94a82550b1172",
+        "3ec8714f7f13ffb7bfb476316e9c38b244b301160b51fa878ae9e3931d67be36",
 }
 
 
@@ -231,13 +234,13 @@ def test_optimize_outputs_match_recorded_sha256(tmp_path):
 OPTIMIZE_REFINE_GOLDEN = {
     "optimize.csv": OPTIMIZE_GOLDEN["optimize.csv"],
     "optimize_best.json":
-        "38d8ff726e960f0fb57cdba85c56f92cfb65c2a8b52593b0a2c0db643a73d0a9",
+        "70b6b6575d813c6f69ebb917492a62fba9102f91ce917f60958534fe3954e29b",
 }
 
 OPTIMIZE_REFINE_GOLDEN_AVX2 = {
     "optimize.csv": OPTIMIZE_GOLDEN_AVX2["optimize.csv"],
     "optimize_best.json":
-        "7a293aef158ae79d75ab271e462e771c714554ae4379c834c05ab5a8ca11075a",
+        "72a1799966e8cc5309b8d5be07cdf21fb9fc3e793a1e07c3920837e3ae7310f3",
 }
 REFINE_OVERRIDES = OPTIMIZE_OVERRIDES + ("design.refine_iters=10",)
 

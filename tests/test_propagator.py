@@ -83,9 +83,14 @@ class TestRhs:
     @pytest.mark.parametrize("layout_name", ["sap3_ref", "fsap3_ref",
                                              "folded5_ref"])
     def test_matches_dense_hamiltonian(self, request, layout_name):
-        # one system steps in mm (span 1 mm) with a 1-D state; a batch, of
-        # one member here, in u = z / z_end (span z_end) with an (n, 1) state
+        # one system steps in mm (span 1 mm) with a 1-D state and the n x n
+        # H; a batch, of one member here, in u = z / z_end (span z_end) with
+        # a (3, 1) state and the three-level block V^T H V, where V's
+        # orthonormal columns are the block's rows in guide space
         layout = request.getfixturevalue(layout_name)
+        V = np.eye(3) if layout.n_guides == 3 else np.array(
+            [[1, 0, 0], [0, 1, 0], [0, 0, math.sqrt(2)], [0, 1, 0],
+             [1, 0, 0]]) / math.sqrt(2)
         rng = np.random.default_rng(7)
         for lam, detuning in ((1500.0, 0.37), (1630.0, -1.2)):
             model = calibrated_model(layout, TARGET_RATIO, KAPPA_REF, LAM0,
@@ -99,12 +104,14 @@ class TestRhs:
                     # a batch's rhs binds to a stage state and evaluates
                     # the 12 points of a trial step at once, as a (12, 1, 1)
                     # array; rate(s, out) is the derivative at point s
-                    stage = np.empty((layout.n_guides, 1), dtype=complex)
+                    stage = np.empty((3, 1), dtype=complex)
                     at, rate = rhs(stage)
+                n = 3 if batched else layout.n_guides
                 for i, z in enumerate(zs):
-                    a = (rng.normal(size=layout.n_guides)
-                         + 1j * rng.normal(size=layout.n_guides))
+                    a = rng.normal(size=n) + 1j * rng.normal(size=n)
                     H = hamiltonian_at(layout, model, z, lam).matrix
+                    if batched:
+                        H = V.T @ H @ V
                     expected = 1j * span / UM_PER_MM * (H @ a)
                     if batched:
                         if i % 12 == 0:
